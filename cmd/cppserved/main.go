@@ -38,12 +38,9 @@
 // instantly from it (POST /runs?nocache=1 bypasses it per-run). Off by
 // default — every run executes unless asked otherwise.
 //
-// Sweep fabric roles: -workers URL,URL,... makes this process a
-// coordinator that executes POST /sweeps children on those worker
-// cppserved instances with consistent-hash placement and
-// retry-on-worker-loss; -worker just labels the process as a tier member
-// in cppserved_build_info. Without either, sweeps execute on the local
-// pool.
+// POST /sweeps expands a cross-product into child runs that go through
+// the same admission control, at most -max-runs at once, and
+// GET /sweeps/{id}/table serves their deterministic TSV result table.
 package main
 
 import (
@@ -56,11 +53,9 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
-	"cppcache/internal/fabric"
 	"cppcache/internal/ledger"
 	"cppcache/internal/serve"
 )
@@ -70,7 +65,6 @@ func main() {
 		addr         = flag.String("addr", "localhost:8077", "listen address (use :0 for an ephemeral port)")
 		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
 		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for running jobs")
-		logJSON      = flag.Bool("log-json", false, "emit JSON logs instead of text")
 		maxRuns      = flag.Int("max-runs", serve.DefaultMaxRunning, "max concurrently executing simulations")
 		maxQueue     = flag.Int("max-queue", serve.DefaultMaxQueue, "max queued runs before POST /runs gets 429")
 		retain       = flag.Int("retain", serve.DefaultRetain, "max terminal runs kept before eviction")
@@ -78,8 +72,6 @@ func main() {
 		allowChaos   = flag.Bool("chaos", false, "accept seeded fault-injection specs (RunSpec \"chaos\" field)")
 		ledgerPath   = flag.String("ledger", "", "append-only run ledger file (replayed on boot; empty disables persistence)")
 		memoEntries  = flag.Int("memo", 0, "spec-hash memo store size (0 disables memoization)")
-		workerRole   = flag.Bool("worker", false, "label this process as a sweep-fabric worker in build info")
-		workerURLs   = flag.String("workers", "", "comma-separated worker cppserved URLs; makes this process a sweep coordinator")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -88,11 +80,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	var handler slog.Handler = slog.NewTextHandler(os.Stderr, nil)
-	if *logJSON {
-		handler = slog.NewJSONHandler(os.Stderr, nil)
-	}
-	log := slog.New(handler)
+	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
 
 	var ledgerWriter *ledger.Writer
 	if *ledgerPath != "" {
@@ -105,26 +93,6 @@ func main() {
 		defer ledgerWriter.Close()
 	}
 
-	var (
-		fab  *fabric.Coordinator
-		role string
-	)
-	if *workerURLs != "" {
-		var err error
-		fab, err = fabric.New(fabric.Config{
-			Workers: strings.Split(*workerURLs, ","),
-			Log:     log,
-		})
-		if err != nil {
-			log.Error("fabric", "workers", *workerURLs, "err", err)
-			os.Exit(1)
-		}
-		defer fab.Close()
-		log.Info("sweep fabric coordinator", "workers", fab.WorkerCount())
-	} else if *workerRole {
-		role = "worker"
-	}
-
 	reg := serve.NewRegistryWith(serve.Config{
 		MaxRunning:  *maxRuns,
 		MaxQueue:    *maxQueue,
@@ -133,13 +101,11 @@ func main() {
 		AllowChaos:  *allowChaos,
 		Ledger:      ledgerWriter,
 		MemoEntries: *memoEntries,
-		Fabric:      fab,
-		Role:        role,
 	}, log)
 	if *ledgerPath != "" {
 		// The listener comes up before the boot replay; /readyz answers 503
-		// until SeedFleet completes so probes and the fabric route around
-		// the booting process instead of declaring it dead.
+		// until SeedFleet completes so probes route around the booting
+		// process instead of declaring it dead.
 		reg.SetReady(false)
 	}
 	srv := &http.Server{

@@ -111,6 +111,17 @@ func TestCppservedFlagValidation(t *testing.T) {
 	if !strings.Contains(out, "unexpected arguments") {
 		t.Errorf("output missing stray-args message:\n%s", out)
 	}
+	// Deleted flags are unknown flags, not silently ignored ones.
+	for _, args := range [][]string{
+		{"-workers", "http://localhost:8081"},
+		{"-worker"},
+		{"-log-json"},
+	} {
+		out := runExpectUsage(t, bin, args...)
+		if !strings.Contains(out, "flag provided but not defined: "+args[0]) {
+			t.Errorf("%s: output missing unknown-flag message:\n%s", args[0], out)
+		}
+	}
 }
 
 func TestCppledgerFlagValidation(t *testing.T) {

@@ -209,6 +209,20 @@ func TestSmokeLedgerDashboard(t *testing.T) {
 			cmd.Process.Kill()
 			t.Fatalf("server never wrote its address; logs:\n%s", logs.String())
 		}
+		// The listener answers before the boot replay; /readyz turns 200
+		// once the ledger has been replayed into /fleet.
+		for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(20 * time.Millisecond) {
+			if resp, err := http.Get("http://" + addr + "/readyz"); err == nil {
+				resp.Body.Close()
+				if resp.StatusCode == http.StatusOK {
+					break
+				}
+			}
+			if time.Now().After(deadline) {
+				cmd.Process.Kill()
+				t.Fatalf("server never became ready; logs:\n%s", logs.String())
+			}
+		}
 		return cmd, &logs, "http://" + addr
 	}
 
@@ -263,6 +277,15 @@ func TestSmokeLedgerDashboard(t *testing.T) {
 		`cppserved_fleet_runs_total{workload="olden.mst",config="CPP",compressor="paper",state="done"} 1`,
 		"cppserved_build_info{")
 
+	// A run is ledgered just after it reads as done: crash only once both
+	// records are on disk.
+	for deadline := time.Now().Add(10 * time.Second); !strings.Contains(
+		run(t, ledgerBin, "-ledger", ledgerPath, "-json"), `"total_runs": 2`); time.Sleep(20 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the two done runs never reached the ledger")
+		}
+	}
+
 	// Crash hard (no drain, no clean close) and tear the ledger tail the
 	// way a crash mid-append would: a frame whose payload never finished.
 	if err := cmd.Process.Kill(); err != nil {
@@ -281,14 +304,15 @@ func TestSmokeLedgerDashboard(t *testing.T) {
 	cmd2, logs2, base2 := boot(filepath.Join(dir, "addr2"))
 	defer cmd2.Process.Kill()
 	expect(t, get(base2, "/fleet"), `"total_runs": 2`, `"workload": "olden.mst"`)
-	if !strings.Contains(logs2.String(), "skipped damaged records") {
-		t.Errorf("restart logs never mentioned the torn tail:\n%s", logs2.String())
-	}
 	if err := cmd2.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	if err := cmd2.Wait(); err != nil {
 		t.Fatalf("cppserved exited non-zero after SIGTERM: %v\nlogs:\n%s", err, logs2.String())
+	}
+	// Read the logs only once Wait has collected all of stderr.
+	if !strings.Contains(logs2.String(), "skipped damaged records") {
+		t.Errorf("restart logs never mentioned the torn tail:\n%s", logs2.String())
 	}
 	_ = logs
 

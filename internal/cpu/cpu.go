@@ -247,9 +247,9 @@ func New(p Params, d memsys.System) (*Core, error) {
 		rob:      make([]robEntry, p.ROBSize),
 		ifq:      make([]robEntry, p.IFQSize),
 		unissued: make([]int32, 0, p.ROBSize),
-		lsq:     make([]flightRec, 0, 2*p.ROBSize),
-		memInfl: make([]flightRec, 0, 2*p.ROBSize),
-		aluInfl: make([]flightRec, 0, 2*p.ROBSize),
+		lsq:      make([]flightRec, 0, 2*p.ROBSize),
+		memInfl:  make([]flightRec, 0, 2*p.ROBSize),
+		aluInfl:  make([]flightRec, 0, 2*p.ROBSize),
 	}
 	switch h := d.(type) {
 	case *core.Hierarchy:
@@ -308,7 +308,7 @@ func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
 	s.Reset()
 	done := ctx.Done()
 	var (
-		iters int64
+		iters           int64
 		res             Result
 		cycle           int64
 		fetchStallUntil int64 // front-end blocked until this cycle (mispredict)

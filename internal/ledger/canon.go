@@ -8,9 +8,8 @@
 //     value in canonical form (object keys sorted, no insignificant
 //     whitespace, numeric literals preserved verbatim) and returns its
 //     SHA-256. Two processes hashing the same normalized RunSpec get the
-//     same spec_hash — the content-address the sweep-fabric memoization
-//     planned in ROADMAP item 3 will key its cache on. ResultDigest does
-//     the same for a run's final Result.
+//     same spec_hash — the content-address cppserved's memo store keys
+//     on. ResultDigest does the same for a run's final Result.
 //  2. The ledger file (ledger.go): length+checksum framed NDJSON,
 //     fsync'd per append, replayed corruption-tolerantly on boot — a
 //     torn or damaged record is skipped and counted, never allowed to

@@ -7,9 +7,9 @@ import (
 
 // specFixture mirrors serve.RunSpec's JSON shape without importing serve
 // (serve imports ledger). The golden hashes below are what any process,
-// past or future, must produce for these specs — they are the cache keys
-// the sweep-fabric memoization will trust, so changing them is a breaking
-// change to the ledger format.
+// past or future, must produce for these specs — they are the keys of
+// cppserved's memo store and of warm-started ledger history, so changing
+// them is a breaking change to the ledger format.
 type specFixture struct {
 	Workload   string  `json:"workload"`
 	Config     string  `json:"config"`
@@ -124,12 +124,12 @@ func TestResultDigestDeterminism(t *testing.T) {
 	}
 }
 
-// TestResultDigestRawStructEquivalence pins the property the sweep
-// fabric's digest comparison rests on: digesting a result struct and
-// digesting its marshalled JSON (as received over HTTP from a worker)
-// produce the same hash, because Canonical re-parses with UseNumber and
-// re-marshals with sorted keys either way. If this ever breaks, the
-// coordinator's kill-vs-control table comparison breaks with it.
+// TestResultDigestRawStructEquivalence pins the property HTTP clients'
+// digest checks rest on: digesting a result struct (as the server does
+// for ledger records and sweep tables) and digesting its marshalled JSON
+// (as a client does with a result received over HTTP) produce the same
+// hash, because Canonical re-parses with UseNumber and re-marshals with
+// sorted keys either way.
 func TestResultDigestRawStructEquivalence(t *testing.T) {
 	type result struct {
 		Benchmark string  `json:"benchmark"`

@@ -7,8 +7,6 @@ import (
 	"strconv"
 	"sync"
 	"time"
-
-	"cppcache/internal/backoff"
 )
 
 // DefaultDashboardSampleInterval is the cadence of /dashboard/stream
@@ -204,45 +202,20 @@ func (s *Server) handleDashboardStream(w http.ResponseWriter, r *http.Request) {
 			next = id + 1
 		}
 	}
-	fl, canFlush := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
 	s.dash.subscribe()
 	defer s.dash.unsubscribe()
 
-	push := func(emit func() error) bool {
-		rc.SetWriteDeadline(time.Now().Add(s.streamWriteTimeout()))
-		if err := emit(); err != nil {
-			s.reg.CountSlowStream()
-			s.log.Warn("slow dashboard consumer disconnected", "err", err)
-			return false
-		}
-		if canFlush {
-			fl.Flush()
-		}
-		return true
-	}
-
-	if !push(func() error {
-		_, err := fmt.Fprintf(w, "retry: %d\n\n", backoff.DefaultPolicy.Delay(1).Milliseconds())
-		return err
-	}) {
+	sse, ok := s.openSSE(w, func(err error) {
+		s.log.Warn("slow dashboard consumer disconnected", "err", err)
+	})
+	if !ok {
 		return
 	}
 
 	for {
 		samples, from, changed := s.dash.from(next)
-		if from > next {
-			if !push(func() error {
-				_, err := fmt.Fprintf(w, "event: gap\ndata: {\"from\":%d,\"resumed\":%d,\"dropped\":%d}\n\n",
-					next, from, from-next)
-				return err
-			}) {
-				return
-			}
+		if from > next && !sse.gap(next, from) {
+			return
 		}
 		// Adopt the sampler's ordinal in both directions: forward past a
 		// ring-dropped prefix (the gap above), or backward when the client's
@@ -254,11 +227,7 @@ func (s *Server) handleDashboardStream(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return
 			}
-			id := next
-			if !push(func() error {
-				_, err := fmt.Fprintf(w, "id: %d\nevent: sample\ndata: %s\n\n", id, data)
-				return err
-			}) {
+			if !sse.push("id: %d\nevent: sample\ndata: %s\n\n", next, data) {
 				return
 			}
 			next++

@@ -11,21 +11,12 @@ import (
 	"cppcache/internal/ledger"
 )
 
-// recordTerminal builds the ledger record for a run that just reached a
-// terminal state, feeds the in-memory fleet rollup, and — when a ledger
-// writer is configured — appends it durably. An append failure is counted
-// and logged but never propagates into the run's own lifecycle.
-func (g *Registry) recordTerminal(run *Run) {
-	run.mu.Lock()
-	state := run.state
-	errMsg := run.errMsg
-	created, finished := run.created, run.finished
-	res := run.result
-	totals := run.totals
-	intervals := run.snapBase + run.snapCount
-	memoized, memoRun := run.memoized, run.memoRun
-	run.mu.Unlock()
-
+// recordLocked builds the ledger record of a run that has just reached a
+// terminal state and feeds the in-memory consumers: the fleet rollup
+// always, the memo store for a real, fault-free completion. Callers hold
+// run.mu (see finish) and hand the record to appendLedger once they have
+// released it.
+func (g *Registry) recordLocked(run *Run) ledger.Record {
 	// Per-stage durations for this run alone: the closed lifecycle spans,
 	// summed by name. SSE streaming spans are consumer-side, not run
 	// anatomy, so they stay out of the record.
@@ -41,31 +32,29 @@ func (g *Registry) recordTerminal(run *Run) {
 		Schema:       ledger.SchemaVersion,
 		RunID:        run.ID,
 		TraceID:      run.TraceID(),
+		SpecHash:     run.specHash,
 		Workload:     run.Spec.Workload,
 		Config:       run.Spec.Config,
 		Compressor:   run.Spec.Compressor,
 		Scale:        run.Spec.Scale,
 		Functional:   run.Spec.Functional,
-		State:        string(state),
+		State:        string(run.state),
 		Chaos:        run.Spec.Chaos != nil,
-		Memoized:     memoized,
-		MemoSource:   memoRun,
-		Panic:        strings.HasPrefix(errMsg, "panic:"),
-		Error:        firstLine(errMsg),
-		Created:      created,
-		Finished:     finished,
+		Memoized:     run.memoized,
+		MemoSource:   run.memoRun,
+		Panic:        strings.HasPrefix(run.errMsg, "panic:"),
+		Error:        firstLine(run.errMsg),
+		Created:      run.created,
+		Finished:     run.finished,
 		GoMaxProcs:   runtime.GOMAXPROCS(0),
 		StageSeconds: stages,
-		Intervals:    intervals,
-		Instructions: totals.Instructions,
-		L1Misses:     totals.L1Misses,
-		TrafficWords: totals.TrafficWords(),
+		Intervals:    run.snapBase + run.snapCount,
+		Instructions: run.totals.Instructions,
+		L1Misses:     run.totals.L1Misses,
+		TrafficWords: run.totals.TrafficWords(),
 	}
-	if h, err := ledger.SpecHash(run.Spec); err == nil {
-		rec.SpecHash = h
-	}
-	if res != nil {
-		if d, err := ledger.ResultDigest(res); err == nil {
+	if run.result != nil {
+		if d, err := ledger.ResultDigest(run.result); err == nil {
 			rec.ResultDigest = d
 		}
 	}
@@ -74,23 +63,22 @@ func (g *Registry) recordTerminal(run *Run) {
 	// memoized runs never do — the chain always points at an execution.
 	// Digest drift against a prior entry for the same spec hash is a
 	// determinism violation worth shouting about.
-	if g.memo != nil && state == StateDone && !memoized && run.Spec.Chaos == nil &&
-		res != nil && rec.ResultDigest != "" && rec.SpecHash != "" {
-		snaps, from, _, _ := run.SnapsFrom(0)
-		attrText, attrColl := run.Profile()
+	if g.memo != nil && run.state == StateDone && !run.memoized && run.Spec.Chaos == nil &&
+		run.result != nil && rec.ResultDigest != "" && rec.SpecHash != "" {
+		snaps, from := run.snapsFromLocked(0)
 		drift := g.memo.store(&memoEntry{
 			specHash:    rec.SpecHash,
 			runID:       run.ID,
 			traceID:     rec.TraceID,
 			digest:      rec.ResultDigest,
 			full:        true,
-			totals:      totals,
+			totals:      run.totals,
 			snaps:       snaps,
 			snapBase:    from,
-			snapDropped: run.SnapshotsDropped(),
-			result:      res,
-			attrText:    attrText,
-			attrColl:    attrColl,
+			snapDropped: run.snapDropped,
+			result:      run.result,
+			attrText:    run.attrText,
+			attrColl:    run.attrColl,
 		})
 		if drift {
 			g.log.Error("memo digest drift: same spec hash produced a different result digest",
@@ -100,14 +88,22 @@ func (g *Registry) recordTerminal(run *Run) {
 	}
 
 	g.fleet.Add(rec)
-	if g.cfg.Ledger != nil {
-		if err := g.cfg.Ledger.Append(rec); err != nil {
-			g.mu.Lock()
-			g.ledgerErrors++
-			g.mu.Unlock()
-			g.log.Error("ledger append failed", "run_id", run.ID,
-				"trace_id", rec.TraceID, "err", err)
-		}
+	return rec
+}
+
+// appendLedger appends a terminal run's record durably when a ledger
+// writer is configured. A failure is counted and logged but never
+// propagates into the run's own lifecycle.
+func (g *Registry) appendLedger(rec ledger.Record) {
+	if g.cfg.Ledger == nil {
+		return
+	}
+	if err := g.cfg.Ledger.Append(rec); err != nil {
+		g.mu.Lock()
+		g.ledgerErrors++
+		g.mu.Unlock()
+		g.log.Error("ledger append failed", "run_id", rec.RunID,
+			"trace_id", rec.TraceID, "err", err)
 	}
 }
 
@@ -150,10 +146,6 @@ func (g *Registry) FleetAggregate(f ledger.Filter, dims ...string) (*ledger.Aggr
 // LedgerPath returns the configured ledger file ("" when persistence is
 // off); surfaces in cppserved_build_info.
 func (g *Registry) LedgerPath() string { return g.cfg.Ledger.Path() }
-
-// Role returns this process's fabric role ("single", "coordinator" or
-// "worker"); surfaces in cppserved_build_info.
-func (g *Registry) Role() string { return g.cfg.Role }
 
 // fleetFilterFromQuery parses the /fleet query parameters: label filters
 // (workload, config, compressor, state), an absolute time window (since,

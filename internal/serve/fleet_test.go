@@ -10,9 +10,11 @@ import (
 	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"cppcache/internal/chaos"
 	"cppcache/internal/ledger"
 	"cppcache/internal/span"
 )
@@ -178,6 +180,141 @@ func TestFleetConservation(t *testing.T) {
 	j2, _ := json.Marshal(agg2.Groups)
 	if string(j1) != string(j2) {
 		t.Errorf("replayed aggregate differs:\nlive:   %s\nreplay: %s", j1, j2)
+	}
+}
+
+// awaitTerminal blocks until run reads as terminal, waking on the run's
+// own change notifications (as an SSE follower or a sweep does) rather
+// than polling, so it sees the flip as early as any reader can.
+func awaitTerminal(run *Run) (RunState, error) {
+	timeout := time.After(30 * time.Second)
+	for {
+		_, _, state, changed := run.SnapsFrom(math.MaxInt)
+		if state.Terminal() {
+			return state, nil
+		}
+		select {
+		case <-changed:
+		case <-timeout:
+			return state, fmt.Errorf("run %d still %s after 30s", run.ID, state)
+		}
+	}
+}
+
+// inFleet reports whether the fleet rollup holds run id's record in state.
+func inFleet(reg *Registry, id int, state RunState) bool {
+	for _, rec := range reg.FleetRecords() {
+		if rec.RunID == id && rec.State == string(state) {
+			return true
+		}
+	}
+	return false
+}
+
+// TestTerminalRunAlreadyRecorded: the instant a run reads as terminal it
+// is already in the fleet rollup and, when it completed, in the memo
+// store — on every terminal path: completion, failure, panic, cancel
+// while running, cancel while queued and cancel on drain. The durable
+// ledger append may follow the flip, but no path skips it.
+func TestTerminalRunAlreadyRecorded(t *testing.T) {
+	w, err := ledger.OpenWriter(filepath.Join(t.TempDir(), "runs.ledger"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	reg := NewRegistryWith(Config{MaxRunning: 1, MemoEntries: 256, Ledger: w, AllowChaos: true}, nil)
+	mustLaunch := func(spec RunSpec) *Run {
+		t.Helper()
+		run, err := reg.Launch(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return run
+	}
+	var wg sync.WaitGroup
+	watch := func(run *Run, want RunState) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			state, err := awaitTerminal(run)
+			switch {
+			case err != nil:
+				t.Error(err)
+			case state != want:
+				t.Errorf("run %d ended %s, want %s", run.ID, state, want)
+			case !inFleet(reg, run.ID, state):
+				t.Errorf("run %d read as %s before its fleet record existed", run.ID, state)
+			}
+		}()
+	}
+
+	// Completion: each distinct spec (the interval is part of the spec
+	// hash) is in the fleet and the memo the moment it reads done.
+	for i := 0; i < 30; i++ {
+		spec := RunSpec{Workload: "treeadd", Config: "BC", Functional: true, Scale: 1, Interval: int64(1000 + i)}
+		run := mustLaunch(spec)
+		state, err := awaitTerminal(run)
+		if err != nil || state != StateDone {
+			t.Fatalf("run %d: state %s, err %v", run.ID, state, err)
+		}
+		if !inFleet(reg, run.ID, state) {
+			t.Errorf("run %d read as done before its fleet record existed", run.ID)
+		}
+		if again := mustLaunch(spec); !again.Status().Memoized {
+			t.Errorf("identical resubmit of run %d right after it read done missed the memo", run.ID)
+		}
+	}
+
+	stall := &chaos.Spec{StallAfter: 1, StallMs: 30000}
+	running := func(run *Run) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for run.State() != StateRunning {
+			if time.Now().After(deadline) {
+				t.Fatalf("run %d never started", run.ID)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+
+	// Failure: an injected panic and an expired deadline.
+	watch(mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1,
+		Chaos: &chaos.Spec{PanicAfter: 1}}), StateFailed)
+	watch(mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1,
+		TimeoutSec: 0.05, Chaos: stall}), StateFailed)
+
+	// Cancel while queued behind a stalled run, then cancel that run.
+	blocker := mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1, Chaos: stall})
+	queued := mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 2})
+	watch(blocker, StateCanceled)
+	watch(queued, StateCanceled)
+	running(blocker)
+	if err := reg.Cancel(queued.ID, "test: cancel queued"); err != nil {
+		t.Fatal(err)
+	}
+	if err := reg.Cancel(blocker.ID, "test: cancel running"); err != nil {
+		t.Fatal(err)
+	}
+
+	// Drain: the queued run is canceled on the spot, the stalled one
+	// force-canceled when the cooperative window expires.
+	blocker = mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1, Chaos: stall})
+	queued = mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 3})
+	watch(blocker, StateCanceled)
+	watch(queued, StateCanceled)
+	running(blocker)
+	if !reg.Drain(time.Second) {
+		t.Fatal("drain timed out")
+	}
+	wg.Wait()
+
+	// Every terminal run also reached the ledger file.
+	recs, _, err := ledger.Replay(w.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := len(recs), len(reg.FleetRecords()); got != want {
+		t.Errorf("ledger holds %d records, fleet %d", got, want)
 	}
 }
 
@@ -415,8 +552,8 @@ func TestPromLabelEscaping(t *testing.T) {
 	}
 	writeFleetMetrics(&b, agg)
 
-	// Build info, via a hostile ledger path and role.
-	writeBuildInfo(&b, nasty, nasty)
+	// Build info, via a hostile ledger path.
+	writeBuildInfo(&b, nasty)
 
 	body := b.String()
 	for _, needle := range []string{

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bufio"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
@@ -84,7 +86,7 @@ func TestReadyzReasons(t *testing.T) {
 }
 
 // TestLaunchBackpressureRetryAfter: both 429 (queue full) and 503
-// (draining) advise Retry-After derived from the shared backoff policy.
+// (draining) advise a one-second Retry-After.
 func TestLaunchBackpressureRetryAfter(t *testing.T) {
 	ts, reg := newTestServerWith(t, Config{MaxRunning: 1, MaxQueue: 1, AllowChaos: true})
 	// Stall the slot and fill the queue.
@@ -104,8 +106,8 @@ func TestLaunchBackpressureRetryAfter(t *testing.T) {
 
 	if resp := post(); resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("full queue: status %d, want 429", resp.StatusCode)
-	} else if resp.Header.Get("Retry-After") == "" {
-		t.Fatal("429 missing Retry-After")
+	} else if got := resp.Header.Get("Retry-After"); got != "1" {
+		t.Fatalf("429 Retry-After %q, want 1", got)
 	}
 
 	go reg.Drain(5 * time.Second)
@@ -113,8 +115,8 @@ func TestLaunchBackpressureRetryAfter(t *testing.T) {
 	for {
 		resp := post()
 		if resp.StatusCode == http.StatusServiceUnavailable {
-			if resp.Header.Get("Retry-After") == "" {
-				t.Fatal("503 missing Retry-After")
+			if got := resp.Header.Get("Retry-After"); got != "1" {
+				t.Fatalf("503 Retry-After %q, want 1", got)
 			}
 			break
 		}
@@ -122,5 +124,44 @@ func TestLaunchBackpressureRetryAfter(t *testing.T) {
 			t.Fatalf("registry never started draining (last status %d)", resp.StatusCode)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestRetryHintsOnTheWire: every SSE stream opens with a 100 ms reconnect
+// hint, and a draining server's 503s on /readyz and POST /sweeps advise a
+// one-second Retry-After, like those of POST /runs.
+func TestRetryHintsOnTheWire(t *testing.T) {
+	ts, reg := newTestServer(t)
+	run := waitDone(t, ts, launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`).ID)
+	sweep := `{"workloads":["mst"],"configs":["CPP"],"scales":[1],"functional":true}`
+	sw := waitSweep(t, ts, launchSweep(t, ts, sweep).ID)
+	for _, path := range []string{fmt.Sprintf("/runs/%d/stream", run.ID),
+		fmt.Sprintf("/sweeps/%d/stream", sw.ID), "/dashboard/stream"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		first, err := bufio.NewReader(resp.Body).ReadString('\n')
+		resp.Body.Close()
+		if first != "retry: 100\n" {
+			t.Errorf("%s: first line %q (err %v), want \"retry: 100\"", path, first, err)
+		}
+	}
+
+	reg.Drain(5 * time.Second)
+	ready, err := http.Get(ts.URL + "/readyz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	launched, err := http.Post(ts.URL+"/sweeps", "application/json", strings.NewReader(sweep))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, resp := range []*http.Response{ready, launched} {
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+			t.Errorf("%s while draining: status %d, Retry-After %q, want 503 and 1",
+				resp.Request.URL.Path, resp.StatusCode, resp.Header.Get("Retry-After"))
+		}
 	}
 }

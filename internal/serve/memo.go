@@ -51,10 +51,10 @@ type memoStats struct {
 // registry counts exactly one hit or one miss per admitted run, so
 // hits + misses always equals admitted runs (test-enforced conservation).
 type memoStore struct {
-	mu      sync.Mutex
-	max     int
-	byHash  map[string]*list.Element
-	lru     *list.List // front = most recently used; values are *memoEntry
+	mu     sync.Mutex
+	max    int
+	byHash map[string]*list.Element
+	lru    *list.List // front = most recently used; values are *memoEntry
 
 	hits      int64
 	misses    int64

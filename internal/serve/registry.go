@@ -13,7 +13,6 @@ import (
 
 	"cppcache"
 	"cppcache/internal/chaos"
-	"cppcache/internal/fabric"
 	"cppcache/internal/ledger"
 	"cppcache/internal/obs"
 	"cppcache/internal/sched"
@@ -120,6 +119,8 @@ type Run struct {
 	ID   int     `json:"id"`
 	Spec RunSpec `json:"spec"`
 
+	specHash string // ledger.SpecHash of Spec, "" if it cannot be hashed
+
 	mu          sync.Mutex
 	state       RunState
 	created     time.Time
@@ -212,14 +213,6 @@ type Config struct {
 	MemoEntries int
 	// SweepRetain bounds retained terminal sweeps. 0 = DefaultSweepRetain.
 	SweepRetain int
-	// Fabric, when non-nil, makes sweeps execute their children through
-	// the coordinator/worker tier instead of the local pool. Direct POST
-	// /runs traffic still executes locally.
-	Fabric *fabric.Coordinator
-	// Role names this process's place in the sweep fabric for the
-	// cppserved_build_info role label: "single" (default), "coordinator"
-	// or "worker".
-	Role string
 }
 
 // Admission-control and retention defaults.
@@ -242,13 +235,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Retain <= 0 {
 		c.Retain = DefaultRetain
-	}
-	if c.Role == "" {
-		if c.Fabric != nil {
-			c.Role = "coordinator"
-		} else {
-			c.Role = "single"
-		}
 	}
 	return c
 }
@@ -294,11 +280,9 @@ type Registry struct {
 	fleet *ledger.Rollup
 
 	// memo is the spec-hash result cache (nil when Config.MemoEntries is
-	// 0); sweeps is the batch-sweep engine; fab is the coordinator tier
-	// sweeps dispatch through (nil = local execution).
+	// 0); sweeps is the batch-sweep engine.
 	memo   *memoStore
 	sweeps *sweepSet
-	fab    *fabric.Coordinator
 
 	mu       sync.Mutex
 	runs     map[int]*Run
@@ -343,7 +327,6 @@ func NewRegistryWith(cfg Config, log *slog.Logger) *Registry {
 		g.memo = newMemoStore(cfg.MemoEntries)
 	}
 	g.sweeps = newSweepSet(g)
-	g.fab = cfg.Fabric
 	return g
 }
 
@@ -360,7 +343,7 @@ func (g *Registry) SetReady(ready bool) {
 // Readiness reports whether the registry should accept traffic, with a
 // machine-readable reason when it should not ("draining", "booting").
 // Liveness (/healthz) is unconditional; readiness is what load balancers
-// and the fabric's worker probes key on.
+// key on.
 func (g *Registry) Readiness() (ready bool, reason string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -456,10 +439,7 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var specHash string
-	if g.memo != nil {
-		specHash, _ = ledger.SpecHash(spec)
-	}
+	specHash, _ := ledger.SpecHash(spec)
 
 	g.mu.Lock()
 	if g.closed {
@@ -472,22 +452,20 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 			// A hit bypasses admission control entirely: no slot, no queue
 			// capacity, just a terminal run built from the cached entry.
 			g.memo.countHit()
-			run := g.newMemoRunLocked(spec, e)
+			run, rec := g.newMemoRunLocked(spec, e)
+			g.evictLocked()
 			g.mu.Unlock()
 			g.log.Info("run memoized", "run_id", run.ID, "trace_id", run.TraceID(),
 				"workload", spec.Workload, "config", spec.Config,
 				"source_run", e.runID, "source_trace", e.traceID)
-			g.recordTerminal(run)
-			g.mu.Lock()
-			g.evictLocked()
-			g.mu.Unlock()
+			g.appendLedger(rec)
 			return run, nil
 		}
 	}
-	if g.running >= g.cfg.MaxRunning && len(g.queue) >= g.cfg.MaxQueue {
+	if running, queued := g.running, len(g.queue); running >= g.cfg.MaxRunning && queued >= g.cfg.MaxQueue {
 		g.rejectedFull++
 		g.mu.Unlock()
-		return nil, fmt.Errorf("%w (%d running, %d queued)", ErrQueueFull, g.running, len(g.queue))
+		return nil, fmt.Errorf("%w (%d running, %d queued)", ErrQueueFull, running, queued)
 	}
 	if g.memo != nil {
 		// Counted only after admission succeeds, so hits+misses equals
@@ -498,13 +476,14 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 	tracer := span.New(0)
 	tracer.SetOnEnd(g.stages.observe)
 	run := &Run{
-		ID:      g.next,
-		Spec:    spec,
-		state:   StateQueued,
-		created: t0,
-		ringCap: g.cfg.SnapRing,
-		changed: make(chan struct{}),
-		tracer:  tracer,
+		ID:       g.next,
+		Spec:     spec,
+		specHash: specHash,
+		state:    StateQueued,
+		created:  t0,
+		ringCap:  g.cfg.SnapRing,
+		changed:  make(chan struct{}),
+		tracer:   tracer,
 	}
 	// The root span and the queue span open at the exact created instant,
 	// so span intervals and registry timestamps reconcile precisely.
@@ -532,18 +511,20 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 }
 
 // newMemoRunLocked registers a run that is born terminal, rebuilt from a
-// full memo entry. Every invariant a real run satisfies holds here too:
-// the snapshot series, totals, result and profile are the original's
-// byte-for-byte; span timestamps reconcile exactly (queue and execute are
-// both zero-width at the admission instant, so queue+execute == run to
-// the nanosecond). Callers hold g.mu.
-func (g *Registry) newMemoRunLocked(spec RunSpec, e *memoEntry) *Run {
+// full memo entry, and returns it with its ledger record. Every invariant
+// a real run satisfies holds here too: the snapshot series, totals,
+// result and profile are the original's byte-for-byte; span timestamps
+// reconcile exactly (queue and execute are both zero-width at the
+// admission instant, so queue+execute == run to the nanosecond); and the
+// run is in the fleet rollup before it is registered. Callers hold g.mu.
+func (g *Registry) newMemoRunLocked(spec RunSpec, e *memoEntry) (*Run, ledger.Record) {
 	t0 := time.Now()
 	tracer := span.New(0)
 	tracer.SetOnEnd(g.stages.observe)
 	run := &Run{
 		ID:          g.next,
 		Spec:        spec,
+		specHash:    e.specHash,
 		state:       StateDone,
 		created:     t0,
 		started:     t0,
@@ -578,10 +559,13 @@ func (g *Registry) newMemoRunLocked(spec RunSpec, e *memoEntry) *Run {
 	run.queueSp.EndAt(t0)
 	run.execSp.EndAt(t0)
 	run.root.EndAt(t0)
+	run.mu.Lock()
+	rec := g.recordLocked(run)
+	run.mu.Unlock()
 	g.next++
 	g.runs[run.ID] = run
 	g.order = append(g.order, run.ID)
-	return run
+	return run, rec
 }
 
 // startLocked dispatches a queued run onto its own goroutine. Callers hold
@@ -636,7 +620,7 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 		if p := recover(); p != nil {
 			stack := debug.Stack()
 			run.execSp.Event("panic", span.String("value", fmt.Sprint(p)))
-			run.failf("panic: %v\n\n%s", p, stack)
+			g.fail(run, fmt.Errorf("panic: %v\n\n%s", p, stack))
 			g.mu.Lock()
 			g.panics++
 			g.mu.Unlock()
@@ -644,8 +628,7 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 				"panic", fmt.Sprint(p), "elapsed", time.Since(start))
 		}
 		// Every execute path (done, failed, canceled, panicked) is terminal
-		// here: ledger the run before its worker slot is released.
-		g.recordTerminal(run)
+		// and ledgered here: release the worker slot.
 		g.onFinished()
 	}()
 
@@ -677,23 +660,72 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 		}, oo)
 	switch {
 	case err == nil:
-		run.complete(&res, ob)
+		g.finish(run, StateRunning, func(r *Run) {
+			r.state = StateDone
+			r.result = &res
+			r.dropped = ob.TraceDropped()
+			if ob.AttrEnabled() {
+				r.attrText = ob.AttrText(10)
+				r.attrColl = ob.AttrCollapsed()
+			}
+		})
 		g.log.Info("run done", "run_id", run.ID, "trace_id", run.TraceID(),
 			"elapsed", time.Since(start),
 			"l1_misses", res.L1Misses, "traffic_words", res.MemTrafficWords)
 	case errors.Is(err, context.DeadlineExceeded):
-		run.failf("run exceeded its %gs deadline", spec.TimeoutSec)
+		g.fail(run, fmt.Errorf("run exceeded its %gs deadline", spec.TimeoutSec))
 		g.log.Warn("run deadline expired", "run_id", run.ID, "trace_id", run.TraceID(),
 			"timeout_sec", spec.TimeoutSec, "elapsed", time.Since(start))
 	case errors.Is(err, context.Canceled):
-		run.markCanceled()
+		g.finish(run, StateRunning, func(r *Run) { r.cancelLocked("canceled") })
 		g.log.Info("run canceled", "run_id", run.ID, "trace_id", run.TraceID(),
 			"cause", run.CancelCause(), "elapsed", time.Since(start))
 	default:
-		run.fail(err)
+		g.fail(run, err)
 		g.log.Error("run failed", "run_id", run.ID, "trace_id", run.TraceID(),
 			"err", err, "elapsed", time.Since(start))
 	}
+}
+
+// finish moves run from state from to the terminal state set assigns,
+// reporting whether run was still in from. The run's fleet record and,
+// for a real completion, its memo entry are stored while run.mu is held,
+// before waiters wake: whoever sees the run terminal also finds it in
+// /fleet and the memo. The fsync'd ledger append comes after the flip, so
+// disk latency stays out of the run's turnaround.
+func (g *Registry) finish(run *Run, from RunState, set func(r *Run)) (ok bool) {
+	var rec ledger.Record
+	// Deferred first, so it runs after the unlock below.
+	defer func() {
+		if ok {
+			g.appendLedger(rec)
+		}
+	}()
+	run.mu.Lock()
+	defer run.mu.Unlock()
+	if run.state != from {
+		return false
+	}
+	run.finished = time.Now()
+	set(run)
+	run.endSpansLocked(run.finished)
+	rec = g.recordLocked(run)
+	run.notifyLocked()
+	return true
+}
+
+// fail moves a running run to failed.
+func (g *Registry) fail(run *Run, err error) {
+	g.finish(run, StateRunning, func(r *Run) {
+		r.state = StateFailed
+		r.errMsg = err.Error()
+	})
+}
+
+// cancelQueued cancels run if it is still waiting for a worker slot,
+// reporting whether it did.
+func (g *Registry) cancelQueued(run *Run, cause string) bool {
+	return g.finish(run, StateQueued, func(r *Run) { r.cancelLocked(cause) })
 }
 
 // onFinished releases the worker slot, dispatches queued work and applies
@@ -762,19 +794,13 @@ func (g *Registry) Cancel(id int, cause string) error {
 	if cause == "" {
 		cause = "canceled"
 	}
-	run.mu.Lock()
-	switch {
-	case run.state == StateQueued:
-		run.state = StateCanceled
-		run.cancelCause = cause
-		run.errMsg = cause
-		run.finished = time.Now()
-		run.endSpansLocked(run.finished)
-		run.notifyLocked()
-		run.mu.Unlock()
-		g.recordTerminal(run)
+	if g.cancelQueued(run, cause) {
 		g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(), "cause", cause)
 		return nil
+	}
+	// Not queued, so running or terminal: a run never returns to the queue.
+	run.mu.Lock()
+	switch {
 	case run.state == StateRunning:
 		run.cancelCause = cause
 		cancel := run.cancel
@@ -868,24 +894,9 @@ func (g *Registry) Drain(timeout time.Duration) bool {
 	// once the already-submitted executions finish.
 	g.pool.Close()
 	for _, id := range queued {
-		if run, ok := g.Get(id); ok {
-			run.mu.Lock()
-			canceled := false
-			if run.state == StateQueued {
-				run.state = StateCanceled
-				run.cancelCause = "server draining"
-				run.errMsg = "server draining"
-				run.finished = time.Now()
-				run.endSpansLocked(run.finished)
-				run.notifyLocked()
-				canceled = true
-				g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(),
-					"cause", "server draining")
-			}
-			run.mu.Unlock()
-			if canceled {
-				g.recordTerminal(run)
-			}
+		if run, ok := g.Get(id); ok && g.cancelQueued(run, "server draining") {
+			g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(),
+				"cause", "server draining")
 		}
 	}
 
@@ -982,50 +993,14 @@ func (r *Run) endSpansLocked(at time.Time) {
 	r.root.EndAt(at)
 }
 
-// complete marks the run done and captures its result and profile.
-func (r *Run) complete(res *cppcache.Result, ob *cppcache.Observation) {
-	r.mu.Lock()
-	r.state = StateDone
-	r.finished = time.Now()
-	r.endSpansLocked(r.finished)
-	r.result = res
-	r.dropped = ob.TraceDropped()
-	if ob.AttrEnabled() {
-		r.attrText = ob.AttrText(10)
-		r.attrColl = ob.AttrCollapsed()
-	}
-	r.notifyLocked()
-	r.mu.Unlock()
-}
-
-// fail marks the run failed.
-func (r *Run) fail(err error) {
-	r.mu.Lock()
-	r.state = StateFailed
-	r.finished = time.Now()
-	r.endSpansLocked(r.finished)
-	r.errMsg = err.Error()
-	r.notifyLocked()
-	r.mu.Unlock()
-}
-
-// failf is fail with a formatted message.
-func (r *Run) failf(format string, args ...any) {
-	r.fail(fmt.Errorf(format, args...))
-}
-
-// markCanceled moves a running run to the canceled terminal state.
-func (r *Run) markCanceled() {
-	r.mu.Lock()
+// cancelLocked moves the run to canceled. A cause recorded earlier (by
+// DELETE, a drain or chaos) wins over cause. Callers hold r.mu.
+func (r *Run) cancelLocked(cause string) {
 	r.state = StateCanceled
-	r.finished = time.Now()
-	r.endSpansLocked(r.finished)
 	if r.cancelCause == "" {
-		r.cancelCause = "canceled"
+		r.cancelCause = cause
 	}
 	r.errMsg = r.cancelCause
-	r.notifyLocked()
-	r.mu.Unlock()
 }
 
 // setCancelCause records why a cancellation is about to happen.
@@ -1117,6 +1092,13 @@ func (r *Run) Profile() (text, collapsed string) {
 func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int, state RunState, changed <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	snaps, from = r.snapsFromLocked(i)
+	return snaps, from, r.state, r.changed
+}
+
+// snapsFromLocked is SnapsFrom's copy of the retained snapshots. Callers
+// hold r.mu.
+func (r *Run) snapsFromLocked(i int) (snaps []obs.Snapshot, from int) {
 	from = i
 	if from < r.snapBase {
 		from = r.snapBase
@@ -1128,5 +1110,5 @@ func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int, state RunState, 
 			snaps = append(snaps, r.snaps[(r.snapHead+(ord-r.snapBase))%len(r.snaps)])
 		}
 	}
-	return snaps, from, r.state, r.changed
+	return snaps, from
 }

@@ -16,7 +16,7 @@
 //	GET    /sweeps             list sweeps (newest first)
 //	GET    /sweeps/{id}        one sweep's aggregate status and children
 //	GET    /sweeps/{id}/table  deterministic TSV result table (byte-stable
-//	                           across retries and worker loss)
+//	                           across executions of the same sweep)
 //	GET    /sweeps/{id}/stream SSE: sweep progress events to completion
 //	DELETE /sweeps/{id}        cancel a sweep (fans out to child runs)
 //	GET    /fleet              fleet rollup over the run ledger (filters:
@@ -40,9 +40,7 @@
 //
 // Failure mapping: invalid specs are HTTP 400 with a structured body
 // naming the field, a full admission queue is 429 with Retry-After, and a
-// draining registry is 503 with Retry-After. Retry-After values derive
-// from the shared backoff policy so clients and the sweep fabric pace
-// themselves consistently.
+// draining registry is 503 with Retry-After.
 package serve
 
 import (
@@ -57,7 +55,6 @@ import (
 	"strings"
 	"time"
 
-	"cppcache/internal/backoff"
 	"cppcache/internal/ledger"
 	"cppcache/internal/span"
 )
@@ -67,6 +64,13 @@ import (
 // disconnected (and counted) instead of parking the handler goroutine
 // forever.
 const DefaultStreamWriteTimeout = 30 * time.Second
+
+// Client pacing advice: every SSE stream opens with a "retry:" line of
+// sseRetryMs, and every 429 and 503 carries Retry-After retryAfterSeconds.
+const (
+	sseRetryMs        = 100
+	retryAfterSeconds = "1"
+)
 
 // Server wires the registry to an http.Handler.
 type Server struct {
@@ -142,13 +146,13 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 // handleReadyz is GET /readyz: readiness for new work. It answers 503
 // with a Retry-After while the registry is draining or before the boot
-// ledger replay finished, so load balancers and the fabric's health
-// probes steer launches elsewhere without marking the process dead.
+// ledger replay finished, so load balancers steer launches elsewhere
+// without marking the process dead.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	ready, reason := s.reg.Readiness()
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	if !ready {
-		w.Header().Set("Retry-After", strconv.Itoa(backoff.DefaultPolicy.RetryAfterSeconds()))
+		retryAfter(w)
 		w.WriteHeader(http.StatusServiceUnavailable)
 		fmt.Fprintln(w, reason)
 		return
@@ -186,16 +190,15 @@ func (s *Server) runFromPath(w http.ResponseWriter, r *http.Request) (*Run, bool
 	return run, true
 }
 
-// retryAfter stamps a Retry-After header from the shared backoff policy,
-// so HTTP clients get the same pacing advice the fabric's retry loop uses.
+// retryAfter stamps the Retry-After header of a 429 or 503.
 func retryAfter(w http.ResponseWriter) {
-	w.Header().Set("Retry-After", strconv.Itoa(backoff.DefaultPolicy.RetryAfterSeconds()))
+	w.Header().Set("Retry-After", retryAfterSeconds)
 }
 
 // handleLaunch is POST /runs. Spec violations are 400 with the offending
 // field; admission backpressure is 429 (queue full) or 503 (draining),
-// both with backoff-derived Retry-After. ?nocache=1 forces a real
-// execution even when the spec's hash has a memoized result.
+// both with Retry-After. ?nocache=1 forces a real execution even when
+// the spec's hash has a memoized result.
 func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 	var spec RunSpec
 	dec := json.NewDecoder(r.Body)
@@ -348,25 +351,62 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 // handleMetrics is GET /metrics: Prometheus text exposition 0.0.4.
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	var b strings.Builder
-	writeBuildInfo(&b, s.reg.LedgerPath(), s.reg.Role())
+	writeBuildInfo(&b, s.reg.LedgerPath())
 	writeMetrics(&b, s.reg.Runs(), s.reg.Counters())
 	s.reg.stages.writeProm(&b)
 	if agg, err := s.reg.FleetAggregate(ledger.Filter{}); err == nil {
 		writeFleetMetrics(&b, agg)
 	}
-	if fab := s.reg.Fabric(); fab != nil {
-		fab.WriteProm(&b)
-	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	fmt.Fprint(w, b.String())
 }
 
-// streamWriteTimeout returns the SSE per-write deadline in effect.
-func (s *Server) streamWriteTimeout() time.Duration {
-	if s.StreamWriteTimeout > 0 {
-		return s.StreamWriteTimeout
+// sseStream is one server-sent-events response. Every write runs under
+// the stream write deadline and is flushed at once; a write that fails
+// counts a slow consumer, calls onSlow and ends the stream.
+type sseStream struct {
+	w       http.ResponseWriter
+	rc      *http.ResponseController
+	timeout time.Duration
+	onSlow  func(err error)
+}
+
+// openSSE sets the event-stream headers and writes the reconnect advice.
+// It returns false when the consumer is already gone.
+func (s *Server) openSSE(w http.ResponseWriter, onSlow func(err error)) (*sseStream, bool) {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	w.Header().Set("Connection", "keep-alive")
+	timeout := s.StreamWriteTimeout
+	if timeout <= 0 {
+		timeout = DefaultStreamWriteTimeout
 	}
-	return DefaultStreamWriteTimeout
+	sse := &sseStream{w: w, rc: http.NewResponseController(w), timeout: timeout,
+		onSlow: func(err error) {
+			s.reg.CountSlowStream()
+			onSlow(err)
+		}}
+	return sse, sse.push("retry: %d\n\n", sseRetryMs)
+}
+
+// push writes one event batch; false means the consumer was disconnected.
+func (sse *sseStream) push(format string, args ...any) bool {
+	// ResponseWriters without deadline support (recorders) just skip the
+	// deadline; real connections enforce it per batch.
+	sse.rc.SetWriteDeadline(time.Now().Add(sse.timeout))
+	if _, err := fmt.Fprintf(sse.w, format, args...); err != nil {
+		sse.onSlow(err)
+		return false
+	}
+	sse.rc.Flush()
+	return true
+}
+
+// gap announces that a bounded ring dropped ordinals [next, from) before
+// the stream resumes at from.
+func (sse *sseStream) gap(next, from int) bool {
+	return sse.push("event: gap\ndata: {\"from\":%d,\"resumed\":%d,\"dropped\":%d}\n\n",
+		next, from, from-next)
 }
 
 // handleStream is GET /runs/{id}/stream: server-sent events. The retained
@@ -383,42 +423,18 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
 	// The stream gets its own root span on the run's trace (not a child
 	// of the run span: a follower can outlive the run's terminal state, so
 	// nesting it under "run" would break the child-containment invariant).
 	stream := run.tracer.Start("sse.stream", nil, span.Int("run_id", int64(run.ID)))
 	defer stream.End()
 
-	// push emits one batch under the write deadline; false disconnects.
-	push := func(emit func() error) bool {
-		// ResponseWriters without deadline support (recorders) just skip
-		// the deadline; real connections enforce it per batch.
-		rc.SetWriteDeadline(time.Now().Add(s.streamWriteTimeout()))
-		if err := emit(); err != nil {
-			s.reg.CountSlowStream()
-			stream.Event("slow_consumer_disconnected", span.String("err", err.Error()))
-			s.log.Warn("slow stream consumer disconnected", "run_id", run.ID,
-				"trace_id", run.TraceID(), "err", err)
-			return false
-		}
-		if canFlush {
-			fl.Flush()
-		}
-		return true
-	}
-
-	// Reconnect advice: pace SSE client retries with the shared backoff
-	// base instead of the browser's default.
-	if !push(func() error {
-		_, err := fmt.Fprintf(w, "retry: %d\n\n", backoff.DefaultPolicy.Delay(1).Milliseconds())
-		return err
-	}) {
+	sse, ok := s.openSSE(w, func(err error) {
+		stream.Event("slow_consumer_disconnected", span.String("err", err.Error()))
+		s.log.Warn("slow stream consumer disconnected", "run_id", run.ID,
+			"trace_id", run.TraceID(), "err", err)
+	})
+	if !ok {
 		return
 	}
 
@@ -430,12 +446,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				span.Int("from", int64(next)),
 				span.Int("resumed", int64(from)),
 				span.Int("dropped", int64(from-next)))
-			okPush := push(func() error {
-				_, err := fmt.Fprintf(w, "event: gap\ndata: {\"from\":%d,\"resumed\":%d,\"dropped\":%d}\n\n",
-					next, from, from-next)
-				return err
-			})
-			if !okPush {
+			if !sse.gap(next, from) {
 				return next, false
 			}
 			next = from
@@ -445,11 +456,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				return next, false
 			}
-			id := next
-			if !push(func() error {
-				_, err := fmt.Fprintf(w, "id: %d\nevent: snapshot\ndata: %s\n\n", id, data)
-				return err
-			}) {
+			if !sse.push("id: %d\nevent: snapshot\ndata: %s\n\n", next, data) {
 				return next, false
 			}
 			next++
@@ -470,10 +477,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			final, _ := json.Marshal(run.Status())
-			push(func() error {
-				_, err := fmt.Fprintf(w, "event: end\ndata: %s\n\n", final)
-				return err
-			})
+			sse.push("event: end\ndata: %s\n\n", final)
 			return
 		}
 		select {

@@ -5,14 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"cppcache"
-	"cppcache/internal/backoff"
-	"cppcache/internal/fabric"
 	"cppcache/internal/ledger"
 )
 
@@ -54,8 +53,6 @@ type sweepChild struct {
 	State    RunState `json:"state"`
 	RunID    int      `json:"run_id,omitempty"`
 	TraceID  string   `json:"trace_id,omitempty"`
-	Worker   string   `json:"worker,omitempty"`
-	Attempts int      `json:"attempts,omitempty"`
 	Memoized bool     `json:"memoized,omitempty"`
 	Digest   string   `json:"result_digest,omitempty"`
 	Error    string   `json:"error,omitempty"`
@@ -177,10 +174,9 @@ func (sw *Sweep) notifyLocked() {
 // Table renders the sweep's deterministic aggregate table: one TSV row
 // per child, sorted by (workload, config, compressor, scale), carrying
 // only deterministic columns (spec tuple, state, result digest, counter
-// totals). No timestamps, no run IDs, no worker names — so the table of a
-// sweep that survived a worker kill is byte-identical to a no-failure
-// control run of the same sweep. That comparison is the CI sweep-smoke's
-// core assertion.
+// totals). No timestamps and no run IDs — so every execution of the same
+// sweep, memoized or not, yields a byte-identical table. The CI
+// sweep-smoke job compares three such tables.
 func (sw *Sweep) Table() string {
 	sw.mu.Lock()
 	children := make([]*sweepChild, len(sw.children))
@@ -388,10 +384,10 @@ func (g *Registry) expandSweep(spec SweepSpec) (children []*sweepChild, skipped 
 }
 
 // LaunchSweep expands, validates and admits a sweep, then executes it on
-// a background engine goroutine. Children run with bounded concurrency —
-// locally through the registry's own admission control (with jittered
-// backoff on queue-full), or via the fabric coordinator when one is
-// configured. A child failure degrades the sweep; it never aborts it.
+// a background engine goroutine. Children run through the registry's own
+// admission control, at most MaxRunning at once, retrying a full queue
+// (see sweepRetryDelay). A child failure degrades the sweep; it never
+// aborts it.
 func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 	children, skipped, deduped, err := g.expandSweep(spec)
 	if err != nil {
@@ -421,29 +417,16 @@ func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 		return nil, err
 	}
 	g.log.Info("sweep launched", "sweep_id", sw.ID, "children", len(children),
-		"skipped", len(skipped), "deduped", deduped, "fabric", g.fab != nil)
+		"skipped", len(skipped), "deduped", deduped)
 	go g.runSweep(sw, ctx)
 	return sw, nil
-}
-
-// sweepConcurrency is how many children execute at once: the local pool
-// width, or twice the worker count when a fabric is placed in front (each
-// worker has its own pool; modest oversubscription keeps their queues
-// fed).
-func (g *Registry) sweepConcurrency() int {
-	if g.fab != nil {
-		if n := 2 * g.fab.WorkerCount(); n > 0 {
-			return n
-		}
-	}
-	return g.cfg.MaxRunning
 }
 
 // runSweep drives every child to a terminal state, then finalises the
 // sweep: done when all children ended, degraded if any failed or were
 // canceled, canceled when cancellation was requested before completion.
 func (g *Registry) runSweep(sw *Sweep, ctx context.Context) {
-	sem := make(chan struct{}, g.sweepConcurrency())
+	sem := make(chan struct{}, g.cfg.MaxRunning)
 	var wg sync.WaitGroup
 	for i := range sw.children {
 		wg.Add(1)
@@ -451,11 +434,7 @@ func (g *Registry) runSweep(sw *Sweep, ctx context.Context) {
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			if g.fab != nil {
-				g.runSweepChildFabric(ctx, sw, ch, idx)
-			} else {
-				g.runSweepChildLocal(ctx, sw, ch, idx)
-			}
+			g.runSweepChild(ctx, sw, ch, idx)
 		}(sw.children[i], i)
 	}
 	wg.Wait()
@@ -492,13 +471,34 @@ func (sw *Sweep) updateChild(ch *sweepChild, fn func(*sweepChild)) {
 	sw.mu.Unlock()
 }
 
-// runSweepChildLocal executes one child through the local registry:
-// launch (retrying queue-full with jittered backoff), then follow the run
-// to its terminal state. Cancellation fans out to the child run.
-func (g *Registry) runSweepChildLocal(ctx context.Context, sw *Sweep, ch *sweepChild, idx int) {
-	bo := backoff.New(backoff.Policy{}, int64(sw.ID)<<16|int64(idx))
+// Queue-full retry schedule of a sweep child: the first retry waits up
+// to sweepRetryBase, each later one up to twice as long, capped at
+// sweepRetryCap.
+const (
+	sweepRetryBase = 100 * time.Millisecond
+	sweepRetryCap  = 5 * time.Second
+)
+
+// sweepRetryDelay returns the wait before the given 1-based retry. The
+// upper half of each delay is drawn from rng, so a sweep's children do not
+// retry in lockstep, and a fixed seed replays the same waits.
+func sweepRetryDelay(retry int, rng *rand.Rand) time.Duration {
+	d := sweepRetryBase
+	for i := 1; i < retry && d < sweepRetryCap; i++ {
+		d *= 2
+	}
+	d = min(d, sweepRetryCap)
+	spread := float64(d) / 2
+	return d - time.Duration(rng.Float64()*spread)
+}
+
+// runSweepChild executes one child through the registry: launch (retrying
+// a full queue), then follow the run to its terminal state. Cancellation
+// fans out to the child run.
+func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild, idx int) {
+	rng := rand.New(rand.NewSource(int64(sw.ID)<<16 | int64(idx)))
 	var run *Run
-	for {
+	for retry := 1; ; retry++ {
 		if ctx.Err() != nil {
 			sw.updateChild(ch, func(c *sweepChild) {
 				c.State = StateCanceled
@@ -513,7 +513,7 @@ func (g *Registry) runSweepChildLocal(ctx context.Context, sw *Sweep, ch *sweepC
 		}
 		if errors.Is(err, ErrQueueFull) {
 			select {
-			case <-time.After(bo.Next()):
+			case <-time.After(sweepRetryDelay(retry, rng)):
 				continue
 			case <-ctx.Done():
 				continue // loop observes ctx.Err and finishes as canceled
@@ -532,7 +532,6 @@ func (g *Registry) runSweepChildLocal(ctx context.Context, sw *Sweep, ch *sweepC
 		c.State = StateRunning
 		c.RunID = run.ID
 		c.TraceID = run.TraceID()
-		c.Attempts = 1
 	})
 
 	for {
@@ -568,61 +567,6 @@ func (g *Registry) runSweepChildLocal(ctx context.Context, sw *Sweep, ch *sweepC
 	})
 }
 
-// runSweepChildFabric executes one child through the coordinator: the
-// fabric places the spec hash on a worker, retries on loss, and returns
-// the terminal outcome.
-func (g *Registry) runSweepChildFabric(ctx context.Context, sw *Sweep, ch *sweepChild, idx int) {
-	specJSON, err := json.Marshal(ch.Spec)
-	if err != nil {
-		sw.updateChild(ch, func(c *sweepChild) {
-			c.State = StateFailed
-			c.Error = fmt.Sprintf("marshal spec: %v", err)
-		})
-		return
-	}
-	sw.updateChild(ch, func(c *sweepChild) { c.State = StateRunning })
-
-	out, err := g.fab.Execute(ctx, ch.SpecHash, specJSON)
-	if err != nil {
-		state := StateFailed
-		if ctx.Err() != nil {
-			state = StateCanceled
-		}
-		sw.updateChild(ch, func(c *sweepChild) {
-			c.State = state
-			c.Error = err.Error()
-			c.Worker = out.Worker
-			c.Attempts = out.Attempts
-		})
-		return
-	}
-
-	var digest string
-	var res *cppcache.Result
-	if len(out.Result) > 0 {
-		// Digesting the raw JSON equals digesting the struct: Canonical
-		// re-parses and re-marshals with sorted keys either way (the
-		// equivalence is pinned by a ledger unit test). So a worker's digest
-		// is comparable against the local ledger without re-execution.
-		digest, _ = ledger.ResultDigest(out.Result)
-		res = new(cppcache.Result)
-		if uerr := json.Unmarshal(out.Result, res); uerr != nil {
-			res = nil
-		}
-	}
-	sw.updateChild(ch, func(c *sweepChild) {
-		c.State = RunState(out.State)
-		c.RunID = out.RunID
-		c.TraceID = out.TraceID
-		c.Worker = out.Worker
-		c.Attempts = out.Attempts
-		c.Memoized = out.Memoized
-		c.Digest = digest
-		c.Error = out.Error
-		c.result = res
-	})
-}
-
 // Sweeps returns every retained sweep in admission order.
 func (g *Registry) Sweeps() []*Sweep { return g.sweeps.all() }
 
@@ -644,6 +588,3 @@ func (g *Registry) CancelSweep(id int) error {
 	sw.requestCancel()
 	return nil
 }
-
-// Fabric returns the configured coordinator (nil when single-node).
-func (g *Registry) Fabric() *fabric.Coordinator { return g.fab }

@@ -6,9 +6,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"time"
-
-	"cppcache/internal/backoff"
 )
 
 // sweepFromPath resolves the {id} path value to a sweep.
@@ -71,7 +68,7 @@ func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleSweep is GET /sweeps/{id}: the aggregate status with per-child
-// states, workers, attempts, digests and skip reasons.
+// states, digests and skip reasons.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.sweepFromPath(w, r)
 	if !ok {
@@ -115,57 +112,28 @@ func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
 // handleSweepStream is GET /sweeps/{id}/stream: SSE progress. Each event
 // is the compact progress rollup (state, per-state counts, memo hits,
 // degraded flag); the stream closes with an "end" event carrying the full
-// terminal status. Event ids count emitted progress events; the retry
-// advice line paces reconnects with the shared backoff base.
+// terminal status. Event ids count emitted progress events.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	sw, ok := s.sweepFromPath(w, r)
 	if !ok {
 		return
 	}
-	fl, canFlush := w.(http.Flusher)
-	rc := http.NewResponseController(w)
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-
-	push := func(emit func() error) bool {
-		rc.SetWriteDeadline(time.Now().Add(s.streamWriteTimeout()))
-		if err := emit(); err != nil {
-			s.reg.CountSlowStream()
-			s.log.Warn("slow sweep stream consumer disconnected",
-				"sweep_id", sw.ID, "err", err)
-			return false
-		}
-		if canFlush {
-			fl.Flush()
-		}
-		return true
-	}
-
-	if !push(func() error {
-		_, err := fmt.Fprintf(w, "retry: %d\n\n", backoff.DefaultPolicy.Delay(1).Milliseconds())
-		return err
-	}) {
+	sse, ok := s.openSSE(w, func(err error) {
+		s.log.Warn("slow sweep stream consumer disconnected", "sweep_id", sw.ID, "err", err)
+	})
+	if !ok {
 		return
 	}
 
-	id := 0
-	for {
+	for id := 0; ; id++ {
 		state, changed := sw.wait()
 		_, data := sw.progress()
-		if !push(func() error {
-			_, err := fmt.Fprintf(w, "id: %d\nevent: progress\ndata: %s\n\n", id, data)
-			return err
-		}) {
+		if !sse.push("id: %d\nevent: progress\ndata: %s\n\n", id, data) {
 			return
 		}
-		id++
 		if state != SweepRunning {
 			final, _ := json.Marshal(sw.Status())
-			push(func() error {
-				_, err := fmt.Fprintf(w, "event: end\ndata: %s\n\n", final)
-				return err
-			})
+			sse.push("event: end\ndata: %s\n\n", final)
 			return
 		}
 		select {

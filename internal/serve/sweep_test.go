@@ -5,11 +5,15 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
+
+	"cppcache/internal/ledger"
 )
 
 // launchSweep POSTs a sweep spec and returns the 202 status body.
@@ -162,9 +166,7 @@ func TestSweepValidation400s(t *testing.T) {
 
 // TestSweepTableDeterministic: the terminal TSV table carries only
 // deterministic columns, sorted by spec tuple — so two independent
-// executions of the same sweep produce byte-identical tables. This is the
-// local-pool half of the kill-vs-control invariant the fabric CI job
-// asserts across workers.
+// executions of the same sweep produce byte-identical tables.
 func TestSweepTableDeterministic(t *testing.T) {
 	ts, _ := newTestServer(t)
 	spec := `{
@@ -433,5 +435,148 @@ func TestSweepMemoized(t *testing.T) {
 		[]byte(fetchText(t, ts, fmt.Sprintf("/sweeps/%d/table", second.ID), http.StatusOK)),
 	) {
 		t.Fatal("memoized sweep table differs from the executed original")
+	}
+}
+
+// TestSweepRowsMatchStandaloneRuns: every row of a sweep's table equals
+// what a standalone POST /runs?nocache=1 of the same spec produces — the
+// same state, result digest and counters.
+func TestSweepRowsMatchStandaloneRuns(t *testing.T) {
+	ts, _ := newTestServer(t)
+	st := waitSweep(t, ts, launchSweep(t, ts, `{
+		"workloads": ["mst", "treeadd"],
+		"configs": ["BC", "CPP"],
+		"scales": [1],
+		"functional": true
+	}`).ID)
+	table := fetchText(t, ts, fmt.Sprintf("/sweeps/%d/table", st.ID), http.StatusOK)
+	rows := map[string]bool{}
+	for _, row := range strings.Split(strings.TrimRight(table, "\n"), "\n")[1:] {
+		rows[row] = true
+	}
+	if len(rows) != 4 || st.Total != 4 {
+		t.Fatalf("%d table rows, %d children, want 4 of each:\n%s", len(rows), st.Total, table)
+	}
+	for _, ch := range st.Children {
+		spec, err := json.Marshal(ch.Spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(ts.URL+"/runs?nocache=1", "application/json", bytes.NewReader(spec))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var run RunStatus
+		if err := json.Unmarshal([]byte(readAll(t, resp)), &run); err != nil || resp.StatusCode != http.StatusCreated {
+			t.Fatalf("POST /runs %s: status %d, err %v", spec, resp.StatusCode, err)
+		}
+		final := waitDone(t, ts, run.ID)
+		if final.Result == nil {
+			t.Fatalf("standalone run %d (%s) has no result: %s %s", run.ID, spec, final.State, final.Error)
+		}
+		digest, err := ledger.ResultDigest(final.Result)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := final.Result
+		want := fmt.Sprintf("%s\t%s\t%s\t%d\t%s\t%s\t%d\t%d\t%d\t%d\t%g",
+			ch.Spec.Workload, ch.Spec.Config, ch.Spec.Compressor, ch.Spec.Scale, final.State,
+			digest, r.Cycles, r.Instructions, r.L1Misses, r.L2Misses, r.MemTrafficWords)
+		if !rows[want] {
+			t.Errorf("standalone run of %s gives row\n%s\nwhich the sweep table lacks:\n%s", spec, want, table)
+		}
+	}
+}
+
+// TestSweepRetriesFullQueue: with the only slot stalled and the wait
+// queue full, a sweep's children are turned away with ErrQueueFull; they
+// retry, and once the slot frees the sweep ends done, not degraded.
+func TestSweepRetriesFullQueue(t *testing.T) {
+	ts, reg := newTestServerWith(t, Config{MaxRunning: 1, MaxQueue: 1, AllowChaos: true})
+	blocker := launch(t, ts, stallSpec(""))
+	launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`) // fills the queue
+	st := launchSweep(t, ts, `{"workloads":["treeadd"],"configs":["BC","CPP"],"scales":[1],"functional":true}`)
+
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Counters().RejectedQueueFull == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no sweep child was turned away by the full queue within 10s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := reg.Cancel(blocker.ID, "unblock"); err != nil {
+		t.Fatal(err)
+	}
+
+	final := waitSweep(t, ts, st.ID)
+	if final.State != SweepDone || final.Degraded || final.Counts[string(StateDone)] != final.Total {
+		t.Fatalf("sweep ended %s degraded=%v counts %v, want all %d children done",
+			final.State, final.Degraded, final.Counts, final.Total)
+	}
+}
+
+// noJitter is a rand.Source of zero draws: sweepRetryDelay then returns
+// each retry's un-jittered ceiling.
+type noJitter struct{}
+
+func (noJitter) Int63() int64 { return 0 }
+func (noJitter) Seed(int64)   {}
+
+// sweepRetryCeilings is the un-jittered schedule, retry 1 first.
+var sweepRetryCeilings = []time.Duration{100 * time.Millisecond, 200 * time.Millisecond,
+	400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
+	3200 * time.Millisecond, 5 * time.Second, 5 * time.Second}
+
+// TestSweepRetryDelayDoublesThenCaps: the first queue-full retry waits
+// 100 ms, each later one twice as long, clamped at the 5 s cap.
+func TestSweepRetryDelayDoublesThenCaps(t *testing.T) {
+	for i, want := range sweepRetryCeilings {
+		if got := sweepRetryDelay(i+1, rand.New(noJitter{})); got != want {
+			t.Errorf("retry %d: delay %v, want %v", i+1, got, want)
+		}
+	}
+}
+
+// TestSweepRetryDelayCapBoundsHugeRetries: the cap holds however often a
+// child has been turned away.
+func TestSweepRetryDelayCapBoundsHugeRetries(t *testing.T) {
+	if got := sweepRetryDelay(math.MaxInt, rand.New(noJitter{})); got != sweepRetryCap {
+		t.Errorf("retry MaxInt: delay %v, want cap %v", got, sweepRetryCap)
+	}
+}
+
+// TestSweepRetryDelayJitterBounds: jitter only ever shortens a delay, by
+// at most half of it, and it does shorten some.
+func TestSweepRetryDelayJitterBounds(t *testing.T) {
+	jittered := false
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		for i, ceil := range sweepRetryCeilings {
+			d := sweepRetryDelay(i+1, rng)
+			if d > ceil || d < ceil/2 {
+				t.Fatalf("seed %d retry %d: delay %v outside [%v, %v]", seed, i+1, d, ceil/2, ceil)
+			}
+			jittered = jittered || d != ceil
+		}
+	}
+	if !jittered {
+		t.Error("no delay was jittered")
+	}
+}
+
+// TestSweepRetryDelaySameSeedSameSchedule: a fixed seed replays the same
+// waits; another seed gives other waits.
+func TestSweepRetryDelaySameSeedSameSchedule(t *testing.T) {
+	a, b, c := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(8))
+	diverged := false
+	for retry := 1; retry <= 20; retry++ {
+		da := sweepRetryDelay(retry, a)
+		if db := sweepRetryDelay(retry, b); db != da {
+			t.Fatalf("retry %d: same seed gave %v and %v", retry, da, db)
+		}
+		diverged = diverged || sweepRetryDelay(retry, c) != da
+	}
+	if !diverged {
+		t.Error("different seeds gave the same 20 waits")
 	}
 }
