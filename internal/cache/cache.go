@@ -50,11 +50,7 @@ type Line struct {
 	Dirty bool
 	Tag   mach.Addr // line number, not just the tag bits
 	Data  []mach.Word
-	// CompHalves is tag metadata: the line's compressed size in 16-bit
-	// half-words under the scheme installed with TrackCompression, kept
-	// current across fills and word writes. 0 when untracked.
-	CompHalves int
-	used       uint64 // LRU timestamp
+	used  uint64 // LRU timestamp
 }
 
 // Addr returns the base byte address of the line.
@@ -79,9 +75,6 @@ type Cache struct {
 	tick    uint64
 	setMask mach.Addr
 	evBuf   []mach.Word // backs Evicted.Data; see Evicted
-	// comp, when set by TrackCompression, maintains each line's
-	// CompHalves tag metadata.
-	comp compress.Compressor
 }
 
 // New builds a cache, validating the parameters.
@@ -105,22 +98,6 @@ func New(p Params) (*Cache, error) {
 		c.sets[i] = ways
 	}
 	return c, nil
-}
-
-// TrackCompression installs a line-compression scheme whose per-line
-// compressed size is maintained as tag metadata (Line.CompHalves) on
-// every fill and word write, and aggregated by Occupancy. nil stops
-// tracking.
-func (c *Cache) TrackCompression(comp compress.Compressor) { c.comp = comp }
-
-// RefreshMeta recomputes a line's compression tag metadata after its Data
-// was mutated directly (the hierarchies' write-back merge paths do this).
-func (c *Cache) RefreshMeta(l *Line) { c.refreshMeta(l) }
-
-func (c *Cache) refreshMeta(l *Line) {
-	if c.comp != nil {
-		l.CompHalves = c.comp.LineHalves(l.Data, l.Addr(c.geom))
-	}
 }
 
 // MustNew is New but panics on invalid parameters; for tests and constants.
@@ -201,7 +178,6 @@ func (c *Cache) Fill(a mach.Addr, data []mach.Word) Evicted {
 	v.Dirty = false
 	v.Tag = c.geom.LineNumber(a)
 	copy(v.Data, data)
-	c.refreshMeta(v)
 	c.tick++
 	v.used = c.tick
 	return ev
@@ -218,7 +194,6 @@ func (c *Cache) Invalidate(a mach.Addr) Evicted {
 	ev := Evicted{Valid: true, Dirty: l.Dirty, Tag: l.Tag, Data: c.evBuf}
 	l.Valid = false
 	l.Dirty = false
-	l.CompHalves = 0
 	return ev
 }
 
@@ -240,7 +215,6 @@ func (c *Cache) WriteWord(a mach.Addr, v mach.Word) bool {
 	}
 	l.Data[c.geom.WordIndex(a)] = v
 	l.Dirty = true
-	c.refreshMeta(l)
 	return true
 }
 
@@ -267,12 +241,17 @@ func (c *Cache) Capacity() int { return c.p.Sets() * c.p.Assoc }
 
 // Occupancy reports the cache's physical usage under the given label.
 // Lines store words uncompressed, so every valid line occupies its full
-// two half-words per word.
-func (c *Cache) Occupancy(level string) memsys.Occupancy {
+// two half-words per word. When comp is non-nil, CompHalves is the
+// resident lines' compressed size under that scheme. The hardware keeps
+// it as tag metadata; the model derives it from the data on demand,
+// since only inspection reads it.
+func (c *Cache) Occupancy(level string, comp compress.Compressor) memsys.Occupancy {
 	lines, compHalves := 0, 0
 	c.Lines(func(_ int, l *Line) {
 		lines++
-		compHalves += l.CompHalves
+		if comp != nil {
+			compHalves += comp.LineHalves(l.Data, l.Addr(c.geom))
+		}
 	})
 	words := c.geom.Words()
 	return memsys.Occupancy{

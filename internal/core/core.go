@@ -20,6 +20,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cppcache/internal/cache"
 	"cppcache/internal/mach"
@@ -150,27 +151,29 @@ func (h *Hierarchy) Read(a mach.Addr) (mach.Word, int) {
 	n := h.l1.geom.LineNumber(a)
 	w := h.l1.geom.WordIndex(a)
 
-	if f := h.l1.frameByTag(n); f != nil && f.pa[w] {
+	bit := uint64(1) << uint(w)
+
+	if f := h.l1.frameByTag(n); f != nil && f.pa&bit != 0 {
 		h.l1.touch(f)
-		return f.readPrimary(w, a), h.cfg.Lat.L1Hit
+		return h.l1.readPrimary(f, w, a), h.cfg.Lat.L1Hit
 	}
 	// The affiliated place: frame whose primary line is n's partner.
-	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa[w] {
+	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa&bit != 0 {
 		h.l1.touch(af)
 		h.stats.AffHitsL1++
 		h.obs.Event(obs.EvAffHitL1, a, 0)
 		h.obs.AttrAffHit(a)
-		return af.readAff(w, a), h.cfg.Lat.AffHit
+		return h.l1.readAff(af, w, a), h.cfg.Lat.AffHit
 	}
 
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
 	lat := h.fillL1(n, w)
 	f := h.l1.frameByTag(n)
-	if f == nil || !f.pa[w] {
+	if f == nil || f.pa&bit == 0 {
 		panic("core: word absent after L1 fill")
 	}
-	return f.readPrimary(w, a), lat
+	return h.l1.readPrimary(f, w, a), lat
 }
 
 // Write implements memsys.System.
@@ -179,14 +182,15 @@ func (h *Hierarchy) Write(a mach.Addr, v mach.Word) int {
 	h.stats.L1.Accesses++
 	n := h.l1.geom.LineNumber(a)
 	w := h.l1.geom.WordIndex(a)
+	bit := uint64(1) << uint(w)
 
-	if f := h.l1.frameByTag(n); f != nil && f.pa[w] {
+	if f := h.l1.frameByTag(n); f != nil && f.pa&bit != 0 {
 		h.l1.touch(f)
 		h.writePrimaryWord(f, w, a, v)
 		return h.cfg.Lat.L1Hit
 	}
 
-	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa[w] {
+	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa&bit != 0 {
 		// §3.3: "a write hit in the affiliated cache line will bring
 		// the line to its primary place". The promoted line keeps the
 		// words held in the affiliated place plus whatever the L2 has
@@ -198,7 +202,7 @@ func (h *Hierarchy) Write(a mach.Addr, v mach.Word) int {
 		h.obs.AttrAffHit(a)
 		h.promoteL1(n)
 		f := h.l1.frameByTag(n)
-		if f == nil || !f.pa[w] {
+		if f == nil || f.pa&bit == 0 {
 			panic("core: word absent after promotion")
 		}
 		h.writePrimaryWord(f, w, a, v)
@@ -209,7 +213,7 @@ func (h *Hierarchy) Write(a mach.Addr, v mach.Word) int {
 	h.obs.AttrMiss(a)
 	lat := h.fillL1(n, w)
 	f := h.l1.frameByTag(n)
-	if f == nil || !f.pa[w] {
+	if f == nil || f.pa&bit == 0 {
 		panic("core: word absent after L1 fill on write")
 	}
 	h.writePrimaryWord(f, w, a, v)
@@ -220,10 +224,10 @@ func (h *Hierarchy) Write(a mach.Addr, v mach.Word) int {
 // compressible -> incompressible transition: the primary word wins the
 // full slot and the affiliated word sharing it is evicted (§3.3).
 func (h *Hierarchy) writePrimaryWord(f *frame, w int, a mach.Addr, v mach.Word) {
-	wasComp := f.pc[w]
-	f.writePrimary(w, a, v)
-	if wasComp && !f.pc[w] && f.aa[w] {
-		f.aa[w] = false
+	bit := uint64(1) << uint(w)
+	wasComp := f.pc&bit != 0
+	if !h.l1.writePrimary(f, w, a, v) && wasComp && f.aa&bit != 0 {
+		f.aa &^= bit
 		h.stats.ConflictEvictions++
 		h.obs.Event(obs.EvCompTransition, a, 0)
 	}
@@ -310,20 +314,13 @@ func (h *Hierarchy) writebackL1Victim(ev *evicted) {
 	off := h.l2.geom.WordIndex(base)
 
 	if f := h.l2.frameByTag(N); f != nil {
-		for i := range ev.vals {
-			if !ev.has(i) {
-				continue
-			}
-			j := off + i
-			a := base + mach.Addr(i*mach.WordBytes)
-			wasComp := f.pc[j]
-			f.pa[j] = true
-			f.writePrimary(j, a, ev.vals[i])
-			if wasComp && !f.pc[j] && f.aa[j] {
-				f.aa[j] = false
-				h.stats.ConflictEvictions++
-			}
-		}
+		// A compressible word overwritten by an incompressible one takes
+		// the full slot back from the affiliated word sharing it.
+		wasComp := f.pc
+		placed := h.l2.putPrimary(f, off, &ev.window, ev.present)
+		lost := placed & wasComp &^ f.pc & f.aa
+		f.aa &^= lost
+		h.stats.ConflictEvictions += int64(bits.OnesCount64(lost))
 		f.dirty = true
 		return
 	}
@@ -337,15 +334,9 @@ func (h *Hierarchy) writebackL1Victim(ev *evicted) {
 	// when the L2 eventually evicts the line.
 	h.stats.L1WbOffChip++
 	pl := &h.wbPl
-	pl.reset()
-	for i := range ev.vals {
-		if !ev.has(i) {
-			continue
-		}
-		j := off + i
-		a := base + mach.Addr(i*mach.WordBytes)
-		pl.set(j, ev.vals[i], compressibleAt(ev.vals[i], a))
-	}
+	pl.present = ev.present << uint(off)
+	pl.comp = ev.comp << uint(off)
+	copy(pl.vals[off:], ev.vals)
 	h.wbAff.reset()
 	h.installL2(N, pl, &h.wbAff)
 	f := h.l2.frameByTag(N)

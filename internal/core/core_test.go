@@ -33,6 +33,21 @@ func newCPP(t *testing.T, m *mem.Memory) *Hierarchy {
 	return h
 }
 
+// TestNewAllocationBound pins the construction cost: frame flags are
+// bitmasks and each level's words live in two slabs, so building the
+// paper's hierarchy is a few dozen allocations, not several per frame.
+func TestNewAllocationBound(t *testing.T) {
+	m := mem.New()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := New(DefaultConfig(), m); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 40 {
+		t.Errorf("core.New allocated %.0f times, want at most 40", allocs)
+	}
+}
+
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	c := DefaultConfig()
 	if c.L1.SizeBytes != 8<<10 || c.L1.Assoc != 1 || c.L1.LineBytes != 64 {

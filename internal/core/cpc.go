@@ -2,107 +2,45 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"cppcache/internal/cache"
 	"cppcache/internal/compress"
 	"cppcache/internal/mach"
 )
 
-// compressibleAt is a local alias to keep call sites short.
-func compressibleAt(v mach.Word, a mach.Addr) bool { return compress.Compressible(v, a) }
-
 // frame is one physical cache frame of the compression cache (Figure 7).
 // It hosts a primary line (tag) and, in the half-slots freed by compressed
 // primary words, compressible words of the affiliated line tag^mask.
 //
-// Storage is faithful to the hardware: a compressible primary word and any
-// affiliated word are held as 16-bit compressed values and decompressed
-// with the accessing address on each read.
+// The three flag bits of every word slot are held as per-frame bitmasks,
+// bit i for slot i. The words themselves live in the level's slabs
+// (cpc.pd, cpc.ad) at [off, off+words). Storage is faithful to the
+// hardware: a compressible primary word and any affiliated word are held
+// in their 16-bit compressed form and decompressed with the accessing
+// address on each read.
 type frame struct {
-	valid bool
 	tag   mach.Addr // primary line number
-	dirty bool      // primary line dirty (affiliated copies are always clean)
 	used  uint64    // LRU timestamp
+	valid bool
+	dirty bool // primary line dirty (affiliated copies are always clean)
 
-	pa []bool // PA: primary word available
-	pc []bool // VCP: primary word stored compressed (implies pa)
-	aa []bool // AA: affiliated word present (implies pa && pc)
+	pa uint64 // PA: primary word available
+	pc uint64 // VCP: primary word stored compressed (implies pa)
+	aa uint64 // AA: affiliated word present (implies pa && pc)
 
-	pd32 []mach.Word           // primary words stored uncompressed (pa && !pc)
-	pd16 []compress.Compressed // primary words stored compressed (pa && pc)
-	ad16 []compress.Compressed // affiliated words (aa)
+	off int // first slot of this frame's storage in the level's slabs
 }
 
-func newFrame(words int) frame {
-	return frame{
-		pa:   make([]bool, words),
-		pc:   make([]bool, words),
-		aa:   make([]bool, words),
-		pd32: make([]mach.Word, words),
-		pd16: make([]compress.Compressed, words),
-		ad16: make([]compress.Compressed, words),
-	}
-}
-
-// clear invalidates the frame in place, preserving the allocated storage.
-func (f *frame) clear() {
-	f.valid = false
-	f.dirty = false
-	for i := range f.pa {
-		f.pa[i] = false
-		f.pc[i] = false
-		f.aa[i] = false
-	}
-}
-
-// readPrimary returns the primary word at slot w, whose byte address is a,
-// decompressing it if stored compressed. The caller must ensure pa[w].
-func (f *frame) readPrimary(w int, a mach.Addr) mach.Word {
-	if f.pc[w] {
-		return compress.Decompress(f.pd16[w], a)
-	}
-	return f.pd32[w]
-}
-
-// writePrimary stores v as the primary word at slot w (byte address a),
-// choosing the compressed or uncompressed form and updating VCP.
-// It does not touch the dirty bit or the affiliated half; callers handle
-// the compressible -> incompressible interaction.
-func (f *frame) writePrimary(w int, a mach.Addr, v mach.Word) {
-	if c, ok := compress.Compress(v, a); ok {
-		f.pc[w] = true
-		f.pd16[w] = c
-	} else {
-		f.pc[w] = false
-		f.pd32[w] = v
-	}
-	f.pa[w] = true
-}
-
-// readAff returns the affiliated word at slot w, whose byte address is a.
-// The caller must ensure aa[w].
-func (f *frame) readAff(w int, a mach.Addr) mach.Word {
-	return compress.Decompress(f.ad16[w], a)
-}
-
-// setAff stores v (which must be compressible at address a) into the
-// affiliated half-slot w.
-func (f *frame) setAff(w int, a mach.Addr, v mach.Word) {
-	c, ok := compress.Compress(v, a)
-	if !ok {
-		panic("core: setAff with incompressible value")
-	}
-	f.aa[w] = true
-	f.ad16[w] = c
-}
-
-// window is a partial line in transit: per-slot availability and
-// compressibility as per-line bitmasks (precomputed once, tested with
-// single AND/shift operations on the hot path) plus the logical
-// (uncompressed) values. Transfers carry logical values; each cache
-// re-compresses on installation. Windows are scratch buffers owned by the
-// Hierarchy and reused across accesses, so the steady state allocates
-// nothing.
+// window is a partial line in transit between the levels, or arriving
+// from memory: per-slot availability and compressibility as bitmasks
+// plus each slot's stored form — its 16-bit compressed value when
+// compressible, its raw word otherwise. Words are compressed once, where
+// they enter the hierarchy, and keep that form while they move between
+// primary slots, affiliated half-slots and levels: no move changes a
+// word's address, so the form stays valid. Windows are scratch buffers
+// owned by the Hierarchy and reused across accesses, so the steady state
+// allocates nothing.
 type window struct {
 	present uint64
 	comp    uint64
@@ -119,52 +57,28 @@ func (w *window) reset() { w.present, w.comp = 0, 0 }
 // has reports whether slot i holds a value.
 func (w *window) has(i int) bool { return w.present&(1<<uint(i)) != 0 }
 
-// isComp reports whether slot i's value is compressible.
-func (w *window) isComp(i int) bool { return w.comp&(1<<uint(i)) != 0 }
-
-// set stores v into slot i with the given compressibility.
-func (w *window) set(i int, v mach.Word, comp bool) {
-	w.present |= 1 << uint(i)
-	if comp {
-		w.comp |= 1 << uint(i)
-	} else {
-		w.comp &^= 1 << uint(i)
-	}
-	w.vals[i] = v
-}
-
-// drop removes slot i.
-func (w *window) drop(i int) { w.present &^= 1 << uint(i) }
-
 // full reports whether every slot is present.
-func (w *window) full() bool {
-	words := len(w.vals)
-	if words == 64 {
-		return w.present == ^uint64(0)
-	}
-	return w.present == (uint64(1)<<uint(words))-1
-}
+func (w *window) full() bool { return w.present == lowMask(len(w.vals)) }
 
 // count returns the number of present slots.
-func (w *window) count() int {
-	n := 0
-	for p := w.present; p != 0; p &= p - 1 {
-		n++
+func (w *window) count() int { return bits.OnesCount64(w.present) }
+
+// lowMask returns a mask of the low n bits (n <= 64).
+func lowMask(n int) uint64 {
+	if n >= 64 {
+		return ^uint64(0)
 	}
-	return n
+	return uint64(1)<<uint(n) - 1
 }
 
-// evicted describes a primary line displaced by install. Each cpc owns one
-// evicted scratch, valid until that level's next install.
+// evicted describes a primary line displaced by install, in its stored
+// form. Each cpc owns one evicted scratch, valid until that level's next
+// install.
 type evicted struct {
-	tag     mach.Addr
-	dirty   bool
-	present uint64
-	vals    []mach.Word
+	window
+	tag   mach.Addr
+	dirty bool
 }
-
-// has reports whether slot i of the evicted line holds a value.
-func (ev *evicted) has(i int) bool { return ev.present&(1<<uint(i)) != 0 }
 
 // cpc is one level of the compression cache: a set-associative array of
 // frames with true-LRU replacement and primary/affiliated lookup.
@@ -173,8 +87,14 @@ type cpc struct {
 	geom    mach.LineGeom
 	mask    mach.Addr
 	setMask mach.Addr
-	sets    [][]frame
+	frames  []frame // set s occupies frames[s*Assoc : (s+1)*Assoc]
 	tick    uint64
+
+	// Slabs holding every frame's words: pd the primary slots (16-bit
+	// form in the low half when VCP is set, the raw word otherwise), ad
+	// the affiliated half-slots.
+	pd []mach.Word
+	ad []compress.Compressed
 
 	// evScratch backs the *evicted returned by install; it is valid until
 	// this level's next install.
@@ -193,25 +113,30 @@ func newCPC(p cache.Params, mask mach.Addr) (*cpc, error) {
 	}
 	words := c.geom.Words()
 	if words > 64 {
-		// Transfer windows track per-slot state in 64-bit masks; 64 words
-		// (256-byte lines) is far beyond every geometry the paper sweeps.
+		// Frames and transfer windows track per-slot state in 64-bit
+		// masks; 64 words (256-byte lines) is far beyond every geometry
+		// the paper sweeps.
 		return nil, fmt.Errorf("core: line size %d B exceeds the 64-word window limit", p.LineBytes)
 	}
 	c.evScratch.vals = make([]mach.Word, words)
-	c.sets = make([][]frame, p.Sets())
-	for i := range c.sets {
-		ways := make([]frame, p.Assoc)
-		for w := range ways {
-			ways[w] = newFrame(words)
-		}
-		c.sets[i] = ways
+	c.frames = make([]frame, p.Sets()*p.Assoc)
+	for i := range c.frames {
+		c.frames[i].off = i * words
 	}
+	c.pd = make([]mach.Word, len(c.frames)*words)
+	c.ad = make([]compress.Compressed, len(c.frames)*words)
 	return c, nil
+}
+
+// set returns the ways of line n's set.
+func (c *cpc) set(n mach.Addr) []frame {
+	s := int(n&c.setMask) * c.p.Assoc
+	return c.frames[s : s+c.p.Assoc]
 }
 
 // frameByTag returns the frame whose primary line is n, or nil.
 func (c *cpc) frameByTag(n mach.Addr) *frame {
-	set := c.sets[int(n&c.setMask)]
+	set := c.set(n)
 	for i := range set {
 		if set[i].valid && set[i].tag == n {
 			return &set[i]
@@ -229,7 +154,7 @@ func (c *cpc) touch(f *frame) {
 // victim selects the replacement frame in n's set: an invalid way if any,
 // else the least recently used.
 func (c *cpc) victim(n mach.Addr) *frame {
-	set := c.sets[int(n&c.setMask)]
+	set := c.set(n)
 	best := &set[0]
 	for i := range set {
 		f := &set[i]
@@ -246,6 +171,65 @@ func (c *cpc) victim(n mach.Addr) *frame {
 // wordAddr returns the byte address of word w of line n.
 func (c *cpc) wordAddr(n mach.Addr, w int) mach.Addr {
 	return c.geom.NumberToAddr(n) + mach.Addr(w*mach.WordBytes)
+}
+
+// readPrimary returns f's primary word at slot w, whose byte address is a,
+// decompressing it if stored compressed. The caller must ensure PA.
+func (c *cpc) readPrimary(f *frame, w int, a mach.Addr) mach.Word {
+	v := c.pd[f.off+w]
+	if f.pc&(1<<uint(w)) != 0 {
+		return compress.Decompress(compress.Compressed(v), a)
+	}
+	return v
+}
+
+// readAff returns f's affiliated word at slot w, whose byte address is a.
+// The caller must ensure AA.
+func (c *cpc) readAff(f *frame, w int, a mach.Addr) mach.Word {
+	return compress.Decompress(c.ad[f.off+w], a)
+}
+
+// writePrimary compresses v, a CPU store to f's slot w at byte address a,
+// into the slot, setting PA and VCP. It reports whether v compressed. It
+// does not touch the dirty bit or the affiliated half; callers handle the
+// compressible -> incompressible interaction.
+func (c *cpc) writePrimary(f *frame, w int, a mach.Addr, v mach.Word) bool {
+	bit := uint64(1) << uint(w)
+	cv, ok := compress.Compress(v, a)
+	if ok {
+		c.pd[f.off+w] = mach.Word(cv)
+		f.pc |= bit
+	} else {
+		c.pd[f.off+w] = v
+		f.pc &^= bit
+	}
+	f.pa |= bit
+	return ok
+}
+
+// putPrimary stores the stored-form words of src selected by m (bit i of
+// m is slot i of src) into f's primary slots starting at slot off, with
+// VCP taken from src.comp. It returns the slots written, in f's indexing.
+func (c *cpc) putPrimary(f *frame, off int, src *window, m uint64) uint64 {
+	for r := m; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
+		c.pd[f.off+off+i] = src.vals[i]
+	}
+	placed := m << uint(off)
+	f.pa |= placed
+	f.pc = f.pc&^placed | src.comp<<uint(off)&placed
+	return placed
+}
+
+// putAff stores the 16-bit forms of src's slots selected by m into f's
+// affiliated half-slots and sets AA. Every selected slot must be
+// compressible.
+func (c *cpc) putAff(f *frame, src *window, m uint64) {
+	for r := m; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
+		c.ad[f.off+i] = compress.Compressed(src.vals[i])
+	}
+	f.aa |= m
 }
 
 // install merges line n's payload pl into a resident partial frame, or
@@ -267,64 +251,41 @@ func (c *cpc) install(n mach.Addr, pl, aff *window, prefCtr *int64) *evicted {
 			ev = &c.evScratch
 			ev.tag = f.tag
 			ev.dirty = f.dirty
-			ev.present = 0
-			for i, p := range f.pa {
-				if p {
-					ev.present |= 1 << uint(i)
-					ev.vals[i] = f.readPrimary(i, c.wordAddr(f.tag, i))
-				}
-			}
+			ev.present, ev.comp = f.pa, f.pc
+			copy(ev.vals, c.pd[f.off:])
 			// Eviction also drops the frame's affiliated copies (of
 			// f.tag^mask); they are clean mirrors, safe to lose.
 		}
-		f.clear()
-		f.valid = true
-		f.tag = n
+		f.valid, f.dirty, f.tag = true, false, n
+		f.pa, f.pc, f.aa = 0, 0, 0
 		// The victim may have been the partner line itself; recompute.
 		partnerResident = c.frameByTag(partner) != nil
 	}
 
 	// Merge payload into empty slots only: resident words are newer
 	// (they may be dirty) than anything arriving from below.
-	for i := range f.pa {
-		if !pl.has(i) || f.pa[i] {
-			continue
-		}
-		f.writePrimary(i, c.wordAddr(n, i), pl.vals[i])
-	}
+	c.putPrimary(f, 0, pl, pl.present&^f.pa)
 
 	// An affiliated copy of n elsewhere is now redundant: n is primary.
 	// Salvage its words into still-missing slots first (they are clean
 	// mirrors, at least as fresh as the payload), then drop it.
 	if pf := c.frameByTag(partner); pf != nil {
-		for i, a := range pf.aa {
-			if !a {
-				continue
-			}
-			if !f.pa[i] {
-				f.writePrimary(i, c.wordAddr(n, i), pf.readAff(i, c.wordAddr(n, i)))
-			}
-			pf.aa[i] = false
+		salvage := pf.aa &^ f.pa
+		for r := salvage; r != 0; r &= r - 1 {
+			i := bits.TrailingZeros64(r)
+			c.pd[f.off+i] = mach.Word(c.ad[pf.off+i])
 		}
+		f.pa |= salvage
+		f.pc |= salvage
+		pf.aa = 0
 	}
 
 	// Accept affiliated prefetch data.
 	if !partnerResident {
-		prefetched := int64(0)
-		for i := range f.pa {
-			if !aff.has(i) || !f.pa[i] || !f.pc[i] || f.aa[i] {
-				continue
-			}
-			v := aff.vals[i]
-			a := c.wordAddr(partner, i)
-			if !compressibleAt(v, a) {
-				continue
-			}
-			f.setAff(i, a, v)
-			prefetched++
-		}
+		accept := aff.present & aff.comp & f.pa & f.pc &^ f.aa
+		c.putAff(f, aff, accept)
 		if prefCtr != nil {
-			*prefCtr += prefetched
+			*prefCtr += int64(bits.OnesCount64(accept))
 		}
 	}
 
@@ -342,63 +303,52 @@ func (c *cpc) placeVictim(ev *evicted) bool {
 	if target == nil {
 		return false
 	}
-	placed := false
-	for i := range target.pa {
-		if !ev.has(i) || !target.pa[i] || !target.pc[i] {
-			continue
-		}
-		a := c.wordAddr(ev.tag, i)
-		if !compressibleAt(ev.vals[i], a) {
-			continue
-		}
-		target.setAff(i, a, ev.vals[i])
-		placed = true
-	}
-	return placed
+	place := ev.present & ev.comp & target.pa & target.pc
+	c.putAff(target, &ev.window, place)
+	return place != 0
 }
 
 // checkInvariants validates the structural invariants of the level.
 func (c *cpc) checkInvariants(level string) error {
-	for s := range c.sets {
-		seen := map[mach.Addr]bool{}
-		for w := range c.sets[s] {
-			f := &c.sets[s][w]
-			if !f.valid {
-				continue
-			}
-			if int(f.tag&c.setMask) != s {
-				return fmt.Errorf("%s: frame tag %#x in wrong set %d", level, f.tag, s)
-			}
-			if seen[f.tag] {
+	words := c.geom.Words()
+	beyond := ^lowMask(words)
+	for k := range c.frames {
+		f := &c.frames[k]
+		if !f.valid {
+			continue
+		}
+		s := k / c.p.Assoc
+		if int(f.tag&c.setMask) != s {
+			return fmt.Errorf("%s: frame tag %#x in wrong set %d", level, f.tag, s)
+		}
+		for _, g := range c.set(f.tag)[:k%c.p.Assoc] {
+			if g.valid && g.tag == f.tag {
 				return fmt.Errorf("%s: duplicate primary line %#x in set %d", level, f.tag, s)
 			}
-			seen[f.tag] = true
-			for i := range f.pa {
-				if f.pc[i] && !f.pa[i] {
-					return fmt.Errorf("%s: line %#x word %d: VCP without PA", level, f.tag, i)
-				}
-				if f.aa[i] && !(f.pa[i] && f.pc[i]) {
-					return fmt.Errorf("%s: line %#x word %d: AA without compressible primary", level, f.tag, i)
-				}
-				if f.pa[i] && f.pc[i] {
-					v := f.readPrimary(i, c.wordAddr(f.tag, i))
-					if !compressibleAt(v, c.wordAddr(f.tag, i)) {
-						return fmt.Errorf("%s: line %#x word %d: compressed slot holds incompressible value %#x", level, f.tag, i, v)
-					}
-				}
+		}
+		if m := (f.pa | f.pc | f.aa) & beyond; m != 0 {
+			return fmt.Errorf("%s: line %#x: flag bit %d set past the line's %d words", level, f.tag, bits.TrailingZeros64(m), words)
+		}
+		if m := f.pc &^ f.pa; m != 0 {
+			return fmt.Errorf("%s: line %#x word %d: VCP without PA", level, f.tag, bits.TrailingZeros64(m))
+		}
+		if m := f.aa &^ (f.pa & f.pc); m != 0 {
+			return fmt.Errorf("%s: line %#x word %d: AA without compressible primary", level, f.tag, bits.TrailingZeros64(m))
+		}
+		for r := f.pa & f.pc; r != 0; r &= r - 1 {
+			i := bits.TrailingZeros64(r)
+			if stored := c.pd[f.off+i]; stored>>16 != 0 {
+				return fmt.Errorf("%s: line %#x word %d: compressed slot holds %#x, wider than 16 bits", level, f.tag, i, stored)
 			}
-			// Single-copy: if this frame holds affiliated words of
-			// f.tag^mask, that line must not be primary-resident.
-			hasAff := false
-			for _, a := range f.aa {
-				if a {
-					hasAff = true
-					break
-				}
+			a := c.wordAddr(f.tag, i)
+			if v := c.readPrimary(f, i, a); !compress.Compressible(v, a) {
+				return fmt.Errorf("%s: line %#x word %d: compressed slot holds incompressible value %#x", level, f.tag, i, v)
 			}
-			if hasAff && c.frameByTag(f.tag^c.mask) != nil {
-				return fmt.Errorf("%s: line %#x resident both as primary and as affiliated copy", level, f.tag^c.mask)
-			}
+		}
+		// Single-copy: if this frame holds affiliated words of
+		// f.tag^mask, that line must not be primary-resident.
+		if f.aa != 0 && c.frameByTag(f.tag^c.mask) != nil {
+			return fmt.Errorf("%s: line %#x resident both as primary and as affiliated copy", level, f.tag^c.mask)
 		}
 	}
 	return nil

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"cppcache/internal/mach"
 	"cppcache/internal/memsys"
 )
@@ -40,40 +42,21 @@ func (h *Hierarchy) levelCPC(level int) *cpc {
 // live.
 func (h *Hierarchy) Occupancies() []memsys.Occupancy {
 	out := make([]memsys.Occupancy, 0, 2)
-	for level, name := range map[int]string{1: "L1", 2: "L2"} {
-		c := h.levelCPC(level)
-		words := c.geom.Words()
+	for level, c := range []*cpc{h.l1, h.l2} {
 		occ := memsys.Occupancy{
-			Level:   name,
-			LineCap: c.p.Sets() * c.p.Assoc,
-			HalfCap: c.p.Sets() * c.p.Assoc * words * 2,
+			Level:   [...]string{"L1", "L2"}[level],
+			LineCap: len(c.frames),
+			HalfCap: len(c.frames) * c.geom.Words() * 2,
 		}
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				f := &c.sets[s][w]
-				if !f.valid {
-					continue
-				}
-				occ.Lines++
-				for i := range f.pa {
-					if f.pa[i] {
-						if f.pc[i] {
-							occ.Halves++
-						} else {
-							occ.Halves += 2
-						}
-					}
-					if f.aa[i] {
-						occ.Halves++
-					}
-				}
+		for k := range c.frames {
+			f := &c.frames[k]
+			if !f.valid {
+				continue
 			}
+			occ.Lines++
+			occ.Halves += 2*bits.OnesCount64(f.pa&^f.pc) + bits.OnesCount64(f.pa&f.pc) + bits.OnesCount64(f.aa)
 		}
 		out = append(out, occ)
-	}
-	// Map iteration order is random; keep L1 first.
-	if out[0].Level != "L1" {
-		out[0], out[1] = out[1], out[0]
 	}
 	return out
 }
@@ -82,19 +65,16 @@ func (h *Hierarchy) Occupancies() []memsys.Occupancy {
 // (1 or 2) with its byte address and decompressed value.
 func (h *Hierarchy) AffWords(level int, fn func(a mach.Addr, v mach.Word)) {
 	c := h.levelCPC(level)
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			f := &c.sets[s][w]
-			if !f.valid {
-				continue
-			}
-			partner := f.tag ^ c.mask
-			for i, aa := range f.aa {
-				if aa {
-					a := c.wordAddr(partner, i)
-					fn(a, f.readAff(i, a))
-				}
-			}
+	for k := range c.frames {
+		f := &c.frames[k]
+		if !f.valid {
+			continue
+		}
+		partner := f.tag ^ c.mask
+		for r := f.aa; r != 0; r &= r - 1 {
+			i := bits.TrailingZeros64(r)
+			a := c.wordAddr(partner, i)
+			fn(a, c.readAff(f, i, a))
 		}
 	}
 }
@@ -106,8 +86,8 @@ func (h *Hierarchy) PrimaryProbe(level int, a mach.Addr) (mach.Word, bool) {
 	c := h.levelCPC(level)
 	n := c.geom.LineNumber(a)
 	w := c.geom.WordIndex(a)
-	if f := c.frameByTag(n); f != nil && f.pa[w] {
-		return f.readPrimary(w, a), true
+	if f := c.frameByTag(n); f != nil && f.pa&(1<<uint(w)) != 0 {
+		return c.readPrimary(f, w, a), true
 	}
 	return 0, false
 }
@@ -121,30 +101,34 @@ func (h *Hierarchy) PrimaryProbe(level int, a mach.Addr) (mach.Word, bool) {
 //     so it decompresses to a value that no longer mirrors memory.
 //   - "aa-orphan": set an AA flag on a slot whose primary word is not
 //     stored compressed, breaking the structural storage rule.
+//   - "flag-overflow": set a PA flag one bit past the last word of a line
+//     shorter than 64 words, a slot the frame does not have.
 func (h *Hierarchy) CorruptForTest(kind string) bool {
 	for _, c := range []*cpc{h.l1, h.l2} {
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				f := &c.sets[s][w]
-				if !f.valid {
-					continue
+		words := c.geom.Words()
+		for k := range c.frames {
+			f := &c.frames[k]
+			if !f.valid {
+				continue
+			}
+			switch kind {
+			case "aff-word":
+				if f.aa != 0 {
+					c.ad[f.off+bits.TrailingZeros64(f.aa)] ^= 0x1 // stays compressible, wrong value
+					return true
 				}
-				for i := range f.pa {
-					switch kind {
-					case "aff-word":
-						if f.aa[i] {
-							f.ad16[i] ^= 0x1 // stays compressible, wrong value
-							return true
-						}
-					case "aa-orphan":
-						if f.pa[i] && !f.pc[i] && !f.aa[i] {
-							f.aa[i] = true
-							return true
-						}
-					default:
-						panic("core: unknown corruption kind " + kind)
-					}
+			case "aa-orphan":
+				if m := f.pa &^ f.pc &^ f.aa; m != 0 {
+					f.aa |= m & -m
+					return true
 				}
+			case "flag-overflow":
+				if words < 64 {
+					f.pa |= 1 << uint(words)
+					return true
+				}
+			default:
+				panic("core: unknown corruption kind " + kind)
 			}
 		}
 	}

@@ -1,13 +1,16 @@
 package core
 
 import (
+	"math/bits"
+
+	"cppcache/internal/compress"
 	"cppcache/internal/mach"
 	"cppcache/internal/obs"
 )
 
 // probeL2Into fills dst with the on-chip availability of L1 line n at the
 // L2: which of its words the L2 currently holds (as primary or affiliated
-// data), their logical values, and their compressibility. It never
+// data), in their stored form, and their compressibility. It never
 // triggers a fetch — the L1<->L2 interface is word-based and a partial
 // answer is acceptable (§3.1). The second result reports whether the words
 // came from affiliated storage (for statistics). dst is one of the
@@ -19,27 +22,21 @@ func (h *Hierarchy) probeL2Into(dst *window, n mach.Addr) (*window, bool) {
 	base := h.l1.geom.NumberToAddr(n)
 	N := h.l2.geom.LineNumber(base)
 	off := h.l2.geom.WordIndex(base)
+	sel := lowMask(words)
 
 	if f := h.l2.frameByTag(N); f != nil {
-		for i := 0; i < words; i++ {
-			j := off + i
-			if !f.pa[j] {
-				continue
-			}
-			a := base + mach.Addr(i*mach.WordBytes)
-			dst.set(i, f.readPrimary(j, a), f.pc[j])
-		}
+		dst.present = f.pa >> uint(off) & sel
+		dst.comp = f.pc >> uint(off) & sel
+		copy(dst.vals, h.l2.pd[f.off+off:])
 		return dst, false
 	}
 	if af := h.l2.frameByTag(N ^ h.cfg.Mask); af != nil {
-		for i := 0; i < words; i++ {
-			j := off + i
-			if !af.aa[j] {
-				continue
-			}
-			a := base + mach.Addr(i*mach.WordBytes)
-			// Affiliated words are compressible by construction.
-			dst.set(i, af.readAff(j, a), true)
+		// Affiliated words are compressible by construction.
+		dst.present = af.aa >> uint(off) & sel
+		dst.comp = dst.present
+		for r := dst.present; r != 0; r &= r - 1 {
+			i := bits.TrailingZeros64(r)
+			dst.vals[i] = mach.Word(h.l2.ad[af.off+off+i])
 		}
 	}
 	return dst, true
@@ -107,23 +104,29 @@ func (h *Hierarchy) fetchL2FromMem(N mach.Addr) {
 	// affiliated words travel in the slack left by compressed words.
 	h.stats.MemReadHalves += int64(2 * words)
 
+	// Each word is compressed once, here, where it enters the hierarchy.
+	// The affiliated word rides only in the half-slot a compressible
+	// primary word frees.
 	pl, aff := &h.l2Pl, &h.l2Aff
 	pl.reset()
 	aff.reset()
-	compCount := int64(0)
 	for i := 0; i < words; i++ {
-		a := base + mach.Addr(i*mach.WordBytes)
-		comp := compressibleAt(data[i], a)
-		pl.set(i, data[i], comp)
-		if comp {
-			compCount++
+		bit := uint64(1) << uint(i)
+		c, ok := compress.Compress(data[i], base+mach.Addr(i*mach.WordBytes))
+		if !ok {
+			pl.vals[i] = data[i]
+			continue
 		}
-
-		pa := pbase + mach.Addr(i*mach.WordBytes)
-		if comp && compressibleAt(affData[i], pa) {
-			aff.set(i, affData[i], true)
+		pl.vals[i] = mach.Word(c)
+		pl.comp |= bit
+		if ca, ok := compress.Compress(affData[i], pbase+mach.Addr(i*mach.WordBytes)); ok {
+			aff.vals[i] = mach.Word(ca)
+			aff.present |= bit
 		}
 	}
+	pl.present = lowMask(words)
+	aff.comp = aff.present
+	compCount := int64(bits.OnesCount64(pl.comp))
 	h.obs.FillWords(int64(words), compCount)
 	h.obs.AttrFillFail(base, int64(words)-compCount)
 
@@ -137,17 +140,17 @@ func (h *Hierarchy) writebackL2Victim(ev *evicted) {
 	h.stats.L2.Writebacks++
 	base := h.l2.geom.NumberToAddr(ev.tag)
 	var halves int64
-	for i := range ev.vals {
-		if !ev.has(i) {
-			continue
-		}
+	for r := ev.present; r != 0; r &= r - 1 {
+		i := bits.TrailingZeros64(r)
 		a := base + mach.Addr(i*mach.WordBytes)
-		h.mem.WriteWord(a, ev.vals[i])
-		if compressibleAt(ev.vals[i], a) {
+		v := ev.vals[i]
+		if ev.comp&(1<<uint(i)) != 0 {
+			v = compress.Decompress(compress.Compressed(v), a)
 			halves++
 		} else {
 			halves += 2
 		}
+		h.mem.WriteWord(a, v)
 	}
 	h.stats.MemWriteHalves += halves
 }
@@ -166,19 +169,17 @@ func (h *Hierarchy) CheckInvariants() error {
 // data wins. Diagnostic only: traffic is not accounted.
 func (h *Hierarchy) Drain() {
 	flush := func(c *cpc) {
-		for s := range c.sets {
-			for w := range c.sets[s] {
-				f := &c.sets[s][w]
-				if !f.valid || !f.dirty {
-					continue
-				}
-				for i, p := range f.pa {
-					if p {
-						h.mem.WriteWord(c.wordAddr(f.tag, i), f.readPrimary(i, c.wordAddr(f.tag, i)))
-					}
-				}
-				f.dirty = false
+		for k := range c.frames {
+			f := &c.frames[k]
+			if !f.valid || !f.dirty {
+				continue
 			}
+			for r := f.pa; r != 0; r &= r - 1 {
+				i := bits.TrailingZeros64(r)
+				a := c.wordAddr(f.tag, i)
+				h.mem.WriteWord(a, c.readPrimary(f, i, a))
+			}
+			f.dirty = false
 		}
 	}
 	// L2 first, then L1 overwrites with fresher words.

@@ -112,11 +112,6 @@ func NewStandard(cfg Config, m *mem.Memory) (*Standard, error) {
 	if comp == nil {
 		comp = compress.Default()
 	}
-	if cfg.CompressTraffic {
-		// The scheme's per-line compressed size becomes L2 tag metadata,
-		// mirroring the hardware's compression-status bits.
-		l2.TrackCompression(comp)
-	}
 	return &Standard{
 		cfg: cfg, l1: l1, l2: l2, mem: m,
 		g1: l1.Geom(), g2: l2.Geom(), comp: comp,
@@ -143,9 +138,15 @@ func (h *Standard) SetRecorder(r *obs.Recorder) {
 // hook. Embedders (Prefetch, Victim) inherit it.
 func (h *Standard) SetFaultHook(fn func(site string)) { h.fault = fn }
 
-// Occupancies implements memsys.Inspector.
+// Occupancies implements memsys.Inspector. With compressed transfers,
+// the L2 also reports its lines' compressed size under the scheme,
+// mirroring the hardware's compression-status tag bits.
 func (h *Standard) Occupancies() []memsys.Occupancy {
-	return []memsys.Occupancy{h.l1.Occupancy("L1"), h.l2.Occupancy("L2")}
+	var comp compress.Compressor
+	if h.cfg.CompressTraffic {
+		comp = h.comp
+	}
+	return []memsys.Occupancy{h.l1.Occupancy("L1", nil), h.l2.Occupancy("L2", comp)}
 }
 
 // lineHalves returns the bus cost of a line transfer in half-words,
@@ -184,7 +185,6 @@ func (h *Standard) l2Writeback(ev cache.Evicted) {
 		off := h.g2.WordIndex(base)
 		copy(l2line.Data[off:off+len(ev.Data)], ev.Data)
 		l2line.Dirty = true
-		h.l2.RefreshMeta(l2line) // the merge changed the line's compressed size
 		return
 	}
 	h.memWriteback(base, ev.Data)

@@ -307,3 +307,38 @@ func TestPrefetchSteadyStateAllocationFree(t *testing.T) {
 		t.Errorf("steady-state BCP batch allocated %.1f times, want 0", avg)
 	}
 }
+
+func TestLCCSteadyStateAllocationFree(t *testing.T) {
+	// LCC reuses a memory-fetch buffer and two evicted-line scratch
+	// copies instead of allocating per miss, and fills L1 straight from
+	// the L2 line. A miss-heavy mix — conflict misses, frame sharing,
+	// compressible -> incompressible writes that evict a frame-mate, and
+	// dirty write-backs — must not allocate in steady state.
+	m := mem.New()
+	h, err := NewLCC(LCCConfig(), m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(29))
+	batch := func() {
+		for i := 0; i < 2000; i++ {
+			a := mach.Addr(rng.Intn(1<<18)) &^ 3
+			if rng.Intn(3) == 0 {
+				v := mach.Word(rng.Intn(100)) // compressible
+				if rng.Intn(4) == 0 {
+					v = rng.Uint32() | 0x4000_0000 // breaks the line's fit
+				}
+				h.Write(a, v)
+			} else {
+				h.Read(a)
+			}
+		}
+	}
+	batch() // warm-up: cache storage and obs state settle
+	if h.Stats().ConflictEvictions == 0 || h.Stats().L1.Writebacks == 0 {
+		t.Fatalf("batch exercised no frame-mate evictions or write-backs: %+v", *h.Stats())
+	}
+	if avg := testing.AllocsPerRun(10, batch); avg > 0 {
+		t.Errorf("steady-state LCC batch allocated %.1f times, want 0", avg)
+	}
+}

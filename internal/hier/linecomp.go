@@ -38,6 +38,10 @@ type LCC struct {
 	// obs, when non-nil, receives fill-word compressibility counts and
 	// attribution events; a nil recorder costs one branch per hook.
 	obs *obs.Recorder
+
+	// fetchBuf stages one L2 line fetched from memory; cache.Fill copies
+	// it, so one buffer serves every miss.
+	fetchBuf []mach.Word
 }
 
 var _ memsys.System = (*LCC)(nil)
@@ -63,15 +67,15 @@ func NewLCC(cfg Config, m *mem.Memory) (*LCC, error) {
 	if comp == nil {
 		comp = compress.Default()
 	}
-	l2.TrackCompression(comp)
 	h := &LCC{
-		cfg:  cfg,
-		l1:   newLCCArray(cfg.L1, comp),
-		l2:   l2,
-		mem:  m,
-		g1:   mach.LineGeom{LineBytes: cfg.L1.LineBytes},
-		g2:   mach.LineGeom{LineBytes: cfg.L2.LineBytes},
-		comp: comp,
+		cfg:      cfg,
+		l1:       newLCCArray(cfg.L1, comp),
+		l2:       l2,
+		mem:      m,
+		g1:       mach.LineGeom{LineBytes: cfg.L1.LineBytes},
+		g2:       mach.LineGeom{LineBytes: cfg.L2.LineBytes},
+		comp:     comp,
+		fetchBuf: make([]mach.Word, l2.Geom().Words()),
 	}
 	return h, nil
 }
@@ -112,6 +116,10 @@ type lccArray struct {
 	sets    [][]lccFrame
 	tick    uint64
 	comp    compress.Compressor
+
+	// evicted backs the lines install returns: copies of the displaced
+	// lines (at most two), valid until the next install.
+	evicted [2]lccLine
 }
 
 func newLCCArray(p cache.Params, comp compress.Compressor) *lccArray {
@@ -130,6 +138,9 @@ func newLCCArray(p cache.Params, comp compress.Compressor) *lccArray {
 			}
 		}
 		a.sets[i] = frames
+	}
+	for s := range a.evicted {
+		a.evicted[s].data = make([]mach.Word, a.geom.Words())
 	}
 	return a
 }
@@ -157,7 +168,7 @@ func (a *lccArray) lineCompressible(data []mach.Word, base mach.Addr) bool {
 }
 
 // install places line n, evicting as required by the sharing rule. It
-// returns the evicted lines (0..2) for write-back.
+// returns the evicted lines (0..2) for write-back, backed by a.evicted.
 func (a *lccArray) install(n mach.Addr, data []mach.Word, sharedCtr *int64) []lccLine {
 	base := a.geom.NumberToAddr(n)
 	comp := a.lineCompressible(data, base)
@@ -201,7 +212,7 @@ func (a *lccArray) install(n mach.Addr, data []mach.Word, sharedCtr *int64) []lc
 			victim, vUsed = &set[f], u
 		}
 	}
-	var evicted []lccLine
+	evicted := a.evicted[:0]
 	if comp {
 		// A compressed newcomer can share the victim frame with one
 		// resident compressed line, evicting at most the other slot.
@@ -215,10 +226,7 @@ func (a *lccArray) install(n mach.Addr, data []mach.Word, sharedCtr *int64) []lc
 				if other.valid && other.used > l.used {
 					continue // prefer evicting the older slot
 				}
-				cp := *l
-				cp.data = append([]mach.Word(nil), l.data...)
-				evicted = append(evicted, cp)
-				l.valid = false
+				evicted = a.evict(evicted, l)
 			}
 			a.fill(l, n, data, true)
 			if other.valid && sharedCtr != nil {
@@ -229,14 +237,23 @@ func (a *lccArray) install(n mach.Addr, data []mach.Word, sharedCtr *int64) []lc
 	}
 	for s := range victim.lines {
 		if victim.lines[s].valid {
-			cp := victim.lines[s]
-			cp.data = append([]mach.Word(nil), victim.lines[s].data...)
-			evicted = append(evicted, cp)
-			victim.lines[s].valid = false
+			evicted = a.evict(evicted, &victim.lines[s])
 		}
 	}
 	a.fill(&victim.lines[0], n, data, comp)
 	return evicted
+}
+
+// evict invalidates l and appends a copy of it to evicted, whose backing
+// array is a.evicted.
+func (a *lccArray) evict(evicted []lccLine, l *lccLine) []lccLine {
+	cp := &a.evicted[len(evicted)]
+	data := cp.data
+	*cp = *l
+	cp.data = data
+	copy(cp.data, l.data)
+	l.valid = false
+	return evicted[:len(evicted)+1]
 }
 
 func (a *lccArray) fill(l *lccLine, n mach.Addr, data []mach.Word, comp bool) {
@@ -312,10 +329,10 @@ func (h *LCC) evictFrameMate(n mach.Addr) {
 			if fr.lines[s].valid && fr.lines[s].tag == n {
 				mate := &fr.lines[1-s]
 				if mate.valid {
-					cp := *mate
-					cp.data = append([]mach.Word(nil), mate.data...)
+					// The slot keeps its data until the next fill, so
+					// the write-back can read it in place.
 					mate.valid = false
-					h.writeback(cp)
+					h.writeback(*mate)
 					h.stats.ConflictEvictions++
 				}
 				return
@@ -332,7 +349,7 @@ func (h *LCC) fetch(n mach.Addr) int {
 	l2line := h.l2.Access(base)
 	if l2line == nil {
 		h.stats.L2.Misses++
-		data := make([]mach.Word, h.g2.Words())
+		data := h.fetchBuf
 		l2base := h.g2.LineAddr(base)
 		h.mem.ReadLine(l2base, data)
 		h.stats.MemReadHalves += int64(h.comp.LineHalves(data, l2base))
@@ -348,8 +365,10 @@ func (h *LCC) fetch(n mach.Addr) int {
 		l2line = h.l2.Probe(base)
 		lat = h.cfg.Lat.Mem
 	}
+	// install copies the window into the L1 before any evicted line is
+	// written back into the L2, so the window can alias the L2 line.
 	off := h.g2.WordIndex(base)
-	window := append([]mach.Word(nil), l2line.Data[off:off+h.g1.Words()]...)
+	window := l2line.Data[off : off+h.g1.Words()]
 	for _, ev := range h.l1.install(n, window, &h.stats.AffWordsPrefetchedL1) {
 		if ev.dirty {
 			h.writeback(ev)
@@ -366,7 +385,6 @@ func (h *LCC) writeback(l lccLine) {
 		off := h.g2.WordIndex(base)
 		copy(l2line.Data[off:off+len(l.data)], l.data)
 		l2line.Dirty = true
-		h.l2.RefreshMeta(l2line)
 		return
 	}
 	h.mem.WriteLine(base, l.data)
@@ -391,8 +409,8 @@ func (h *LCC) SharedResidencies() int64 { return h.stats.AffWordsPrefetchedL1 }
 // compressed line (one half-word per word); an uncompressed line consumes
 // both slots' half-word budget. The sharing rule makes Halves <= HalfCap
 // an exact physical bound. The L1's CompHalves stays 0: its compression
-// state is the all-or-nothing bit, not a per-line size. The L2 carries
-// full tag metadata via cache.TrackCompression.
+// state is the all-or-nothing bit, not a per-line size. The L2 reports
+// its lines' compressed size under the scheme.
 func (h *LCC) Occupancies() []memsys.Occupancy {
 	w := h.g1.Words()
 	o := memsys.Occupancy{
@@ -416,7 +434,7 @@ func (h *LCC) Occupancies() []memsys.Occupancy {
 			}
 		}
 	}
-	return []memsys.Occupancy{o, h.l2.Occupancy("L2")}
+	return []memsys.Occupancy{o, h.l2.Occupancy("L2", h.comp)}
 }
 
 // Drain flushes every dirty line to memory (diagnostic).

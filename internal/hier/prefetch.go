@@ -235,8 +235,8 @@ func (h *Prefetch) prefetchL2(base mach.Addr) {
 // the Standard caches.
 func (h *Prefetch) Occupancies() []memsys.Occupancy {
 	return append(h.Standard.Occupancies(),
-		h.pf1.Occupancy("L1 prefetch buffer"),
-		h.pf2.Occupancy("L2 prefetch buffer"))
+		h.pf1.Occupancy("L1 prefetch buffer", nil),
+		h.pf2.Occupancy("L2 prefetch buffer", nil))
 }
 
 // degree returns the configured prefetch depth (at least 1).

@@ -113,10 +113,10 @@ type Occupancy struct {
 	Halves  int    // half-words of data stored (compressed words count 1)
 	HalfCap int    // physical half-word capacity
 	// CompHalves is the compressed footprint of the resident data under
-	// the hierarchy's line-compression scheme, when the cache tracks one
-	// in its tag metadata (0 otherwise). It may legitimately exceed
-	// Halves for schemes whose worst case expands the line; verify bounds
-	// it by the scheme's declared worst case instead.
+	// the hierarchy's line-compression scheme, for structures whose
+	// hardware keeps it in tag metadata (0 otherwise). It may
+	// legitimately exceed Halves for schemes whose worst case expands the
+	// line; verify bounds it by the scheme's declared worst case instead.
 	CompHalves int
 }
 

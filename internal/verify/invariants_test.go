@@ -168,6 +168,23 @@ func TestStructuralCatchesOrphanAAFlag(t *testing.T) {
 	requireDivergence(t, d, InvStructural)
 }
 
+// TestStructuralCatchesFlagOverflow covers the failure mode of bitmask
+// flags: a PA/VCP/AA bit at or above the line's word count names a slot
+// the frame does not have.
+func TestStructuralCatchesFlagOverflow(t *testing.T) {
+	sys, m := mustSystem(t, "CPP")
+	var done bool
+	opt := Options{DeepEvery: 1, Hook: corruptOnce(t, "flag-overflow", 400, &done)}
+	d := Check(sys, m, RandomStream(9, 1500), opt)
+	if !done {
+		t.Fatal("no resident line to corrupt; pick another seed")
+	}
+	requireDivergence(t, d, InvStructural)
+	if !strings.Contains(d.Detail, "past the line's") {
+		t.Errorf("divergence %q is not the flag-overflow check", d.Detail)
+	}
+}
+
 // --- traffic-accounting -----------------------------------------------------
 
 func TestTrafficCatchesSkewedBusCounter(t *testing.T) {
