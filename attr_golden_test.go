@@ -11,6 +11,7 @@ package cppcache
 // and the diff of attr_golden.txt becomes part of the review.
 
 import (
+	"context"
 	"flag"
 	"os"
 	"path/filepath"
@@ -23,9 +24,8 @@ var updateAttr = flag.Bool("update-attr", false, "rewrite testdata/attr_golden.t
 
 func attrGoldenProfile(t *testing.T) (Result, *Observation) {
 	t.Helper()
-	res, ob, err := RunObserved("olden.treeadd", CPP,
-		Options{Scale: 1, FunctionalOnly: true},
-		ObserveOptions{Attr: true})
+	res, ob, err := Run(context.Background(), "olden.treeadd", CPP,
+		Options{Scale: 1, FunctionalOnly: true, Observe: &ObserveOptions{Attr: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,7 +97,7 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 		b.Fatal(err)
 	}
 	// Warm the shared decode outside the timed region.
-	if _, err := RunProgram(p, BC, Options{Scale: 1}); err != nil {
+	if _, _, err := RunProgram(context.Background(), p, BC, Options{Scale: 1}); err != nil {
 		b.Fatal(err)
 	}
 	counts := []int{1}
@@ -113,7 +113,7 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				err := sched.Do(context.Background(), runs, w,
 					func(_ context.Context, _, _ int) error {
-						_, err := RunProgram(p, BC, Options{Scale: 1})
+						_, _, err := RunProgram(context.Background(), p, BC, Options{Scale: 1})
 						return err
 					})
 				if err != nil {

@@ -11,6 +11,7 @@ package cppcache
 // at full scale with complete per-benchmark tables.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -191,7 +192,7 @@ func BenchmarkAblationMask(b *testing.B) {
 		b.Run(fmt.Sprintf("mask_%#x", mask), func(b *testing.B) {
 			warmPrograms(b, []string{"olden.treeadd"})
 			for i := 0; i < b.N; i++ {
-				res, err := RunCPPVariant("olden.treeadd", mask, true, Options{Scale: benchScale})
+				res, _, err := Run(context.Background(), "olden.treeadd", CPPVariant(mask, true), Options{Scale: benchScale})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -211,7 +212,7 @@ func BenchmarkAblationVictim(b *testing.B) {
 		b.Run(fmt.Sprintf("victimPlacement_%v", vp), func(b *testing.B) {
 			warmPrograms(b, []string{"spec2000.300.twolf"})
 			for i := 0; i < b.N; i++ {
-				res, err := RunCPPVariant("spec2000.300.twolf", 0x1, vp, Options{Scale: benchScale})
+				res, _, err := Run(context.Background(), "spec2000.300.twolf", CPPVariant(0x1, vp), Options{Scale: benchScale})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -290,7 +291,7 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := RunProgram(p, CPP, Options{}); err != nil {
+		if _, _, err := RunProgram(context.Background(), p, CPP, Options{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -306,10 +307,10 @@ func BenchmarkSimulatorThroughputObserved(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	oo := ObserveOptions{IntervalCycles: 10000, Trace: true}
+	opts := Options{Observe: &ObserveOptions{IntervalCycles: 10000, Trace: true}}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, ob, err := RunProgramObserved(p, CPP, Options{}, oo)
+		_, ob, err := RunProgram(context.Background(), p, CPP, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -215,7 +215,7 @@ func measureParallel(p *cppcache.Program, scale int, tr *span.Span) (*parallelRe
 		err := sched.DoTraced(context.Background(), runs, w, batch,
 			func(i int) string { return fmt.Sprintf("run %d", i) },
 			func(_ context.Context, _, i int) error {
-				r, err := cppcache.RunProgram(p, cppcache.BC, cppcache.Options{Scale: scale})
+				r, _, err := cppcache.RunProgram(context.Background(), p, cppcache.BC, cppcache.Options{Scale: scale})
 				if err != nil {
 					return err
 				}
@@ -258,7 +258,7 @@ func runBenchJSON(path, bench string, scale, reps int, tr *span.Span) (perfRepor
 	}
 	// One untimed warm run so lazily-built state (program cache, text
 	// pages) does not land in the first config's numbers.
-	if _, err := cppcache.RunProgram(p, cppcache.BC, cppcache.Options{Scale: scale}); err != nil {
+	if _, _, err := cppcache.RunProgram(context.Background(), p, cppcache.BC, cppcache.Options{Scale: scale}); err != nil {
 		return perfReport{}, err
 	}
 	rep := perfReport{Benchmark: bench, Scale: scale, Reps: reps}
@@ -270,7 +270,7 @@ func runBenchJSON(path, bench string, scale, reps int, tr *span.Span) (perfRepor
 		cfgSp := tr.StartChild("config."+string(cfg), span.Int("reps", int64(reps)))
 		start := time.Now()
 		for i := 0; i < reps; i++ {
-			res, err = cppcache.RunProgram(p, cfg, cppcache.Options{Scale: scale})
+			res, _, err = cppcache.RunProgram(context.Background(), p, cfg, cppcache.Options{Scale: scale})
 			if err != nil {
 				cfgSp.End()
 				return perfReport{}, err

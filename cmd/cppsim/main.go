@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -125,20 +126,15 @@ func main() {
 		FunctionalOnly:   *functional,
 		Compressor:       scheme,
 	}
-	observing := *metricsOut != "" || *traceOut != "" || *hist || *attrOut != ""
-
-	var res cppcache.Result
-	var ob *cppcache.Observation
-	if observing {
-		res, ob, err = cppcache.RunObserved(resolved, cfg, opts, cppcache.ObserveOptions{
+	if *metricsOut != "" || *traceOut != "" || *hist || *attrOut != "" {
+		opts.Observe = &cppcache.ObserveOptions{
 			IntervalCycles: *interval,
 			Trace:          *traceOut != "",
 			TraceCap:       *traceCap,
 			Attr:           *attrOut != "",
-		})
-	} else {
-		res, err = cppcache.Run(resolved, cfg, opts)
+		}
 	}
+	res, ob, err := cppcache.Run(context.Background(), resolved, cfg, opts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cppsim:", err)
 		os.Exit(1)

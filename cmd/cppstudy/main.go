@@ -27,7 +27,6 @@ import (
 
 	"cppcache"
 	"cppcache/internal/compress"
-	"cppcache/internal/cpu"
 	"cppcache/internal/isa"
 	"cppcache/internal/memsys"
 	"cppcache/internal/obs"
@@ -81,7 +80,7 @@ func runPhase(bench string, configs []string, interval int64, scale int, outPref
 	tables := make([]*stats.Table, 0, len(configs))
 	for _, cfg := range configs {
 		rec := obs.New(obs.Config{Interval: interval})
-		r, err := sim.RunObserved(p, cfg, lat, cpu.DefaultParams(), rec)
+		r, err := sim.Run(p, cfg, lat, sim.Options{Recorder: rec})
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "cppstudy:", err)
 			return 1

@@ -26,7 +26,6 @@ import (
 
 	"cppcache/internal/compress"
 	"cppcache/internal/core"
-	"cppcache/internal/cpu"
 	"cppcache/internal/hier"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
@@ -36,7 +35,8 @@ import (
 	"cppcache/internal/workload"
 )
 
-// CacheConfig names one of the paper's five cache configurations (§4.1).
+// CacheConfig names a cache configuration: one of the paper's five
+// (§4.1), a related-work one (VC, LCC) or a CPP ablation (CPPVariant).
 type CacheConfig string
 
 // The five configurations compared by the paper.
@@ -185,6 +185,24 @@ type Options struct {
 	// scheme; see Compressors for the registered zoo. Selecting a
 	// non-default scheme on any other configuration is an error.
 	Compressor string
+	// Observe, when non-nil, attaches the observability layer (interval
+	// metrics, event tracing, latency histograms, attribution) and the
+	// run returns its Observation. nil attaches no recorder and returns a
+	// nil Observation. Attaching a recorder never changes results.
+	Observe *ObserveOptions
+	// FaultHook, when set, is invoked at the simulator's fault-injection
+	// points (every memory operation, every hierarchy fill) with a site
+	// label. It is the plumbing for the seeded chaos harness
+	// (internal/chaos): a hook that panics, stalls or cancels exercises
+	// the supervisor's failure isolation. The hook runs synchronously on
+	// the simulation goroutine; an inert hook never changes simulation
+	// results (test-enforced).
+	FaultHook func(site string)
+	// Span, when set, parents the run's lifecycle spans (workload.build
+	// with a decode cache hit/miss event, then the sim.* stage spans) on
+	// the caller's trace. nil traces nothing, at the cost of one branch
+	// per stage boundary (the span package's nil-receiver contract).
+	Span *span.Span
 }
 
 // Result reports one run.
@@ -271,41 +289,55 @@ func fromSim(r sim.Result) Result {
 }
 
 // Run simulates the named benchmark on the given cache configuration.
-func Run(benchmark string, cfg CacheConfig, opts Options) (Result, error) {
+// The simulation loops poll ctx cooperatively (every few thousand
+// cycles/ops) and abandon the run with an error wrapping ctx.Err() when
+// it is canceled or its deadline expires. The Observation is nil unless
+// opts.Observe is set.
+func Run(ctx context.Context, benchmark string, cfg CacheConfig, opts Options) (Result, *Observation, error) {
 	scale := opts.Scale
 	if scale == 0 {
 		scale = workload.DefaultScale
 	}
-	p, err := workload.BuildShared(benchmark, scale)
+	build := opts.Span.StartChild("workload.build",
+		span.String("benchmark", benchmark), span.Int("scale", int64(scale)))
+	p, hit, err := workload.BuildSharedCached(benchmark, scale)
 	if err != nil {
-		return Result{}, err
+		build.End()
+		return Result{}, nil, err
 	}
-	return RunProgram(&Program{p: p}, cfg, opts)
+	build.Event("decode.cache", span.Bool("hit", hit))
+	build.End()
+	return RunProgram(ctx, &Program{p: p}, cfg, opts)
 }
 
-// RunProgram simulates a custom program (built with NewTraceBuilder) on
-// the given cache configuration.
-func RunProgram(p *Program, cfg CacheConfig, opts Options) (Result, error) {
+// RunProgram is Run on a custom program (built with NewTraceBuilder).
+func RunProgram(ctx context.Context, p *Program, cfg CacheConfig, opts Options) (Result, *Observation, error) {
 	lat := memsys.DefaultLatencies()
 	if opts.HalveMissPenalty {
 		lat = lat.Halved()
 	}
 	config, err := schemeQualified(cfg, opts)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	if opts.FunctionalOnly {
-		r, err := sim.RunFunctional(p.p, config, lat)
-		if err != nil {
-			return Result{}, err
-		}
-		return fromSim(r), nil
+	so := sim.Options{Functional: opts.FunctionalOnly, Ctx: ctx, Fault: opts.FaultHook, Span: opts.Span}
+	var ob *Observation
+	if oo := opts.Observe; oo != nil {
+		so.Recorder = obs.New(obs.Config{
+			Interval:       oo.IntervalCycles,
+			Trace:          oo.Trace,
+			TraceCap:       oo.TraceCap,
+			Attr:           oo.Attr,
+			AttrRegionBits: oo.AttrRegionBits,
+			OnSnapshot:     oo.OnSnapshot,
+		})
+		ob = &Observation{rec: so.Recorder}
 	}
-	r, err := sim.Run(p.p, config, lat, cpu.DefaultParams())
+	r, err := sim.Run(p.p, config, lat, so)
 	if err != nil {
-		return Result{}, err
+		return Result{}, nil, err
 	}
-	return fromSim(r), nil
+	return fromSim(r), ob, nil
 }
 
 // schemeQualified validates Options.Compressor against cfg and composes
@@ -343,19 +375,6 @@ type ObserveOptions struct {
 	// on the simulation goroutine; consumers that share the snapshot with
 	// other goroutines must do their own locking.
 	OnSnapshot func(obs.Snapshot)
-	// FaultHook, when set, is invoked at the simulator's fault-injection
-	// points (every memory operation, every hierarchy fill) with a site
-	// label. It is the plumbing for the seeded chaos harness
-	// (internal/chaos): a hook that panics, stalls or cancels exercises
-	// the supervisor's failure isolation. The hook runs synchronously on
-	// the simulation goroutine; an inert hook never changes simulation
-	// results (test-enforced).
-	FaultHook func(site string)
-	// Span, when set, parents the run's lifecycle spans (workload.build
-	// with a decode cache hit/miss event, then the sim.* stage spans) on
-	// the caller's trace. nil traces nothing, at the cost of one branch
-	// per stage boundary (the span package's nil-receiver contract).
-	Span *span.Span
 }
 
 // Observation wraps the recorder of a completed observed run and renders
@@ -402,78 +421,6 @@ func (o *Observation) AttrCollapsed() string { return o.rec.AttrCollapsed() }
 
 // AttrTotal returns the total attributed count of one kind.
 func (o *Observation) AttrTotal(kind obs.AttrKind) int64 { return o.rec.AttrTotal(kind) }
-
-// RunObserved is Run with the observability layer attached: interval
-// metrics, event tracing and latency histograms per ObserveOptions.
-// Attaching a recorder never changes simulation results.
-func RunObserved(benchmark string, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	return RunObservedContext(context.Background(), benchmark, cfg, opts, oo)
-}
-
-// RunContext is Run under a context: the simulation loops poll ctx
-// cooperatively (every few thousand cycles/ops) and abandon the run with
-// an error wrapping ctx.Err() when it is canceled or its deadline expires.
-// The observatory service uses this for per-run deadlines, user
-// cancellation and fast drain on shutdown.
-func RunContext(ctx context.Context, benchmark string, cfg CacheConfig, opts Options) (Result, error) {
-	res, _, err := RunObservedContext(ctx, benchmark, cfg, opts, ObserveOptions{})
-	return res, err
-}
-
-// RunObservedContext is RunObserved under a context (see RunContext).
-func RunObservedContext(ctx context.Context, benchmark string, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	scale := opts.Scale
-	if scale == 0 {
-		scale = workload.DefaultScale
-	}
-	build := oo.Span.StartChild("workload.build",
-		span.String("benchmark", benchmark), span.Int("scale", int64(scale)))
-	p, hit, err := workload.BuildSharedCached(benchmark, scale)
-	if err != nil {
-		build.End()
-		return Result{}, nil, err
-	}
-	build.Event("decode.cache", span.Bool("hit", hit))
-	build.End()
-	return RunProgramObservedContext(ctx, &Program{p: p}, cfg, opts, oo)
-}
-
-// RunProgramObserved is RunProgram with the observability layer attached.
-func RunProgramObserved(p *Program, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	return RunProgramObservedContext(context.Background(), p, cfg, opts, oo)
-}
-
-// RunProgramObservedContext is RunProgramObserved under a context (see
-// RunContext).
-func RunProgramObservedContext(ctx context.Context, p *Program, cfg CacheConfig, opts Options, oo ObserveOptions) (Result, *Observation, error) {
-	lat := memsys.DefaultLatencies()
-	if opts.HalveMissPenalty {
-		lat = lat.Halved()
-	}
-	rec := obs.New(obs.Config{
-		Interval:       oo.IntervalCycles,
-		Trace:          oo.Trace,
-		TraceCap:       oo.TraceCap,
-		Attr:           oo.Attr,
-		AttrRegionBits: oo.AttrRegionBits,
-		OnSnapshot:     oo.OnSnapshot,
-	})
-	config, err := schemeQualified(cfg, opts)
-	if err != nil {
-		return Result{}, nil, err
-	}
-	sup := sim.Supervision{Ctx: ctx, Fault: oo.FaultHook, Span: oo.Span}
-	var r sim.Result
-	if opts.FunctionalOnly {
-		r, err = sim.RunFunctionalSupervised(p.p, config, lat, rec, sup)
-	} else {
-		r, err = sim.RunSupervised(p.p, config, lat, cpu.DefaultParams(), rec, sup)
-	}
-	if err != nil {
-		return Result{}, nil, err
-	}
-	return fromSim(r), &Observation{rec: rec}, nil
-}
 
 // NewSystem builds a standalone cache hierarchy of the named configuration
 // over a fresh main memory, for word-level experimentation: Read and
@@ -531,27 +478,13 @@ func BaselineDescription() string {
 
 var _ = hier.BaselineConfig // keep the dependency explicit for godoc cross-reference
 
-// RunCPPVariant simulates a benchmark on a CPP hierarchy with explicit
-// design knobs — the affiliated-line mask (the paper uses 0x1: next-line
-// pairing) and the victim-placement policy (§3.3) — for ablation studies.
-func RunCPPVariant(benchmark string, mask uint32, victimPlacement bool, opts Options) (Result, error) {
-	scale := opts.Scale
-	if scale == 0 {
-		scale = workload.DefaultScale
-	}
-	prog, err := workload.BuildShared(benchmark, scale)
-	if err != nil {
-		return Result{}, err
-	}
-	lat := memsys.DefaultLatencies()
-	if opts.HalveMissPenalty {
-		lat = lat.Halved()
-	}
-	r, err := sim.RunCPPVariant(prog, lat, cpu.DefaultParams(), mask, victimPlacement)
-	if err != nil {
-		return Result{}, err
-	}
-	return fromSim(r), nil
+// CPPVariant names a CPP configuration with explicit design knobs, for
+// ablation studies: the affiliated-line mask (the paper uses 0x1:
+// next-line pairing) and the victim-placement policy (§3.3). Run and
+// RunProgram accept the name like any other configuration;
+// CPPVariant(0x1, true) is CPP itself.
+func CPPVariant(mask uint32, victimPlacement bool) CacheConfig {
+	return CacheConfig(sim.CPPVariant(mask, victimPlacement))
 }
 
 // CompressibleWordWidth reports compressibility under a generalised

@@ -2,6 +2,7 @@ package cppcache
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 )
@@ -26,7 +27,7 @@ func TestConfigsAndBenchmarks(t *testing.T) {
 
 func TestRunSmallBenchmark(t *testing.T) {
 	for _, cfg := range Configs() {
-		res, err := Run("olden.treeadd", cfg, Options{Scale: 1})
+		res, _, err := Run(context.Background(), "olden.treeadd", cfg, Options{Scale: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -40,7 +41,7 @@ func TestRunSmallBenchmark(t *testing.T) {
 }
 
 func TestRunFunctionalOnly(t *testing.T) {
-	res, err := Run("olden.mst", BC, Options{Scale: 1, FunctionalOnly: true})
+	res, _, err := Run(context.Background(), "olden.mst", BC, Options{Scale: 1, FunctionalOnly: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,11 +54,11 @@ func TestRunFunctionalOnly(t *testing.T) {
 }
 
 func TestHalvedPenaltyFaster(t *testing.T) {
-	full, err := Run("olden.health", BC, Options{Scale: 1})
+	full, _, err := Run(context.Background(), "olden.health", BC, Options{Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	half, err := Run("olden.health", BC, Options{Scale: 1, HalveMissPenalty: true})
+	half, _, err := Run(context.Background(), "olden.health", BC, Options{Scale: 1, HalveMissPenalty: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,11 +68,31 @@ func TestHalvedPenaltyFaster(t *testing.T) {
 }
 
 func TestUnknownNames(t *testing.T) {
-	if _, err := Run("nope", BC, Options{Scale: 1}); err == nil {
+	if _, _, err := Run(context.Background(), "nope", BC, Options{Scale: 1}); err == nil {
 		t.Error("unknown benchmark accepted")
 	}
-	if _, err := Run("olden.mst", "XYZ", Options{Scale: 1}); err == nil {
+	if _, _, err := Run(context.Background(), "olden.mst", "XYZ", Options{Scale: 1}); err == nil {
 		t.Error("unknown config accepted")
+	}
+}
+
+// TestCPPVariantHonoursOptions: an ablation config runs through the same
+// path as CPP, so FunctionalOnly skips the pipeline and a compressor CPP
+// cannot use is rejected.
+func TestCPPVariantHonoursOptions(t *testing.T) {
+	if CPPVariant(0x1, true) != CPP {
+		t.Errorf("CPPVariant(0x1, true) = %s, want CPP", CPPVariant(0x1, true))
+	}
+	v := CPPVariant(0x2, false)
+	res, _, err := Run(context.Background(), "olden.treeadd", v, Options{Scale: 1, FunctionalOnly: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Config != v || res.Cycles != 0 || res.L1Misses == 0 {
+		t.Errorf("functional %s run: config %s, %d cycles, %d L1 misses", v, res.Config, res.Cycles, res.L1Misses)
+	}
+	if _, _, err := Run(context.Background(), "olden.treeadd", v, Options{Scale: 1, Compressor: "fpc"}); err == nil {
+		t.Errorf("%s accepted compressor fpc", v)
 	}
 }
 
@@ -137,7 +158,7 @@ func TestTraceBuilderFacade(t *testing.T) {
 	if p.Len() != 4 || p.Name() != "custom" {
 		t.Errorf("program = %s / %d", p.Name(), p.Len())
 	}
-	res, err := RunProgram(p, CPP, Options{})
+	res, _, err := RunProgram(context.Background(), p, CPP, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +266,7 @@ func TestExtraConfigsRun(t *testing.T) {
 		t.Fatalf("ExtraConfigs() = %v", got)
 	}
 	for _, cfg := range ExtraConfigs() {
-		res, err := Run("olden.treeadd", cfg, Options{Scale: 1})
+		res, _, err := Run(context.Background(), "olden.treeadd", cfg, Options{Scale: 1})
 		if err != nil {
 			t.Fatalf("%s: %v", cfg, err)
 		}
@@ -268,7 +289,7 @@ func TestPaperClaimsEndToEnd(t *testing.T) {
 	for _, b := range benches {
 		results[b] = row{}
 		for _, cfg := range Configs() {
-			res, err := Run(b, cfg, Options{Scale: 1})
+			res, _, err := Run(context.Background(), b, cfg, Options{Scale: 1})
 			if err != nil {
 				t.Fatalf("%s/%s: %v", b, cfg, err)
 			}

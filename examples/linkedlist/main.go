@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"cppcache"
@@ -85,7 +86,7 @@ func main() {
 
 	var bcCycles int64
 	for _, cfg := range cppcache.Configs() {
-		res, err := cppcache.RunProgram(p, cfg, cppcache.Options{})
+		res, _, err := cppcache.RunProgram(context.Background(), p, cfg, cppcache.Options{})
 		if err != nil {
 			panic(err)
 		}

@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"cppcache"
@@ -65,7 +66,7 @@ func main() {
 	// 3. One full benchmark run.
 	fmt.Println("\n-- one benchmark, two configurations --")
 	for _, cfg := range []cppcache.CacheConfig{cppcache.BC, cppcache.CPP} {
-		res, err := cppcache.Run("olden.health", cfg, cppcache.Options{Scale: 1})
+		res, _, err := cppcache.Run(context.Background(), "olden.health", cfg, cppcache.Options{Scale: 1})
 		if err != nil {
 			panic(err)
 		}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -23,7 +24,7 @@ func main() {
 	fmt.Printf("== affiliated-line mask sweep (%s) ==\n", *bench)
 	fmt.Printf("%-10s %12s %12s %14s\n", "mask", "cycles", "aff hits", "prefetched")
 	for _, mask := range []uint32{0x1, 0x2, 0x4, 0x8} {
-		res, err := cppcache.RunCPPVariant(*bench, mask, true, opts)
+		res, _, err := cppcache.Run(context.Background(), *bench, cppcache.CPPVariant(mask, true), opts)
 		if err != nil {
 			panic(err)
 		}
@@ -33,7 +34,7 @@ func main() {
 
 	fmt.Printf("\n== victim placement ablation (%s) ==\n", *bench)
 	for _, vp := range []bool{true, false} {
-		res, err := cppcache.RunCPPVariant(*bench, 0x1, vp, opts)
+		res, _, err := cppcache.Run(context.Background(), *bench, cppcache.CPPVariant(0x1, vp), opts)
 		if err != nil {
 			panic(err)
 		}

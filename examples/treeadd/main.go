@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 
@@ -21,7 +22,7 @@ func main() {
 		"cfg", "cycles", "IPC", "L1 misses", "L2 misses", "traffic")
 	var base float64
 	for _, cfg := range cppcache.Configs() {
-		res, err := cppcache.Run("olden.treeadd", cfg, cppcache.Options{Scale: *scale})
+		res, _, err := cppcache.Run(context.Background(), "olden.treeadd", cfg, cppcache.Options{Scale: *scale})
 		if err != nil {
 			panic(err)
 		}

@@ -1,9 +1,7 @@
 package cppcache
 
 import (
-	"cppcache/internal/cpu"
 	"cppcache/internal/experiments"
-	"cppcache/internal/memsys"
 	"cppcache/internal/span"
 	"cppcache/internal/stats"
 )
@@ -106,7 +104,7 @@ func (s *Suite) Figure15() (*Table, error) { return s.table(s.s.ReadyQueue) }
 func (s *Suite) InstructionMix() (*Table, error) { return s.table(s.s.InstructionMix) }
 
 func baselineTable() string {
-	return experiments.BaselineTable(cpu.DefaultParams(), memsys.DefaultLatencies())
+	return experiments.BaselineTable()
 }
 
 // SchemeTraffic runs the compressor-zoo comparison — one functional BCC

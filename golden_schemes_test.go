@@ -12,6 +12,7 @@ package cppcache
 // and the diff of golden_schemes.json becomes part of the review.
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"math"
@@ -52,13 +53,13 @@ func schemesGoldenResults(t *testing.T, scale int) schemesGoldenFile {
 		gf.Schemes[scheme] = map[string]schemeGoldenEntry{}
 	}
 	for _, bench := range Benchmarks() {
-		base, err := Run(bench, BC, Options{Scale: scale, FunctionalOnly: true})
+		base, _, err := Run(context.Background(), bench, BC, Options{Scale: scale, FunctionalOnly: true})
 		if err != nil {
 			t.Fatal(err)
 		}
 		gf.Baseline[bench] = base.MemTrafficWords
 		for _, scheme := range Compressors() {
-			r, err := Run(bench, BCC, Options{Scale: scale, FunctionalOnly: true, Compressor: scheme})
+			r, _, err := Run(context.Background(), bench, BCC, Options{Scale: scale, FunctionalOnly: true, Compressor: scheme})
 			if err != nil {
 				t.Fatal(err)
 			}

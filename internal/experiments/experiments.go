@@ -28,10 +28,8 @@ import (
 
 // Options configures a Suite.
 type Options struct {
-	Scale      int      // workload scale; 0 means workload.DefaultScale
-	Benchmarks []string // nil means all 14
-	CPUParams  cpu.Params
-	Lat        memsys.Latencies
+	Scale      int        // workload scale; 0 means workload.DefaultScale
+	Benchmarks []string   // nil means all 14
 	Workers    int        // 0 means GOMAXPROCS
 	Trace      *span.Span // optional parent for per-run spans; nil disables tracing
 }
@@ -42,12 +40,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Benchmarks == nil {
 		o.Benchmarks = workload.Names()
-	}
-	if o.CPUParams == (cpu.Params{}) {
-		o.CPUParams = cpu.DefaultParams()
-	}
-	if o.Lat == (memsys.Latencies{}) {
-		o.Lat = memsys.DefaultLatencies()
 	}
 	o.Workers = sched.Workers(o.Workers)
 	return o
@@ -141,11 +133,11 @@ func (s *Suite) ensure(keys []runKey) error {
 			if err != nil {
 				return err
 			}
-			lat := s.opt.Lat
+			lat := memsys.DefaultLatencies()
 			if k.halved {
 				lat = lat.Halved()
 			}
-			r, err := sim.Run(p, k.config, lat, s.opt.CPUParams)
+			r, err := sim.Run(p, k.config, lat, sim.Options{})
 			if err != nil {
 				return err
 			}
@@ -380,7 +372,8 @@ func (s *Suite) InstructionMix() (*stats.Table, error) {
 }
 
 // BaselineTable renders Figure 9, the experimental setup, as text.
-func BaselineTable(p cpu.Params, lat memsys.Latencies) string {
+func BaselineTable() string {
+	p, lat := cpu.DefaultParams(), memsys.DefaultLatencies()
 	return fmt.Sprintf(`Figure 9: baseline experimental setup
   Issue width              %d issue, out-of-order
   IFQ size                 %d instr.

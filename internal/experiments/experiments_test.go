@@ -3,9 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"cppcache/internal/cpu"
-	"cppcache/internal/memsys"
 )
 
 // twoBench keeps the suite tests fast.
@@ -17,9 +14,6 @@ func TestOptionsDefaults(t *testing.T) {
 	opt := Options{}.withDefaults()
 	if opt.Scale == 0 || len(opt.Benchmarks) != 14 || opt.Workers == 0 {
 		t.Errorf("withDefaults() = %+v", opt)
-	}
-	if opt.CPUParams.IssueWidth != 4 {
-		t.Errorf("CPU params not defaulted: %+v", opt.CPUParams)
 	}
 }
 
@@ -162,7 +156,7 @@ func TestUnknownBenchmark(t *testing.T) {
 }
 
 func TestBaselineTable(t *testing.T) {
-	s := BaselineTable(cpu.DefaultParams(), memsys.DefaultLatencies())
+	s := BaselineTable()
 	for _, want := range []string{"4 issue", "bimod, 2048", "8 entries", "100 cycles"} {
 		if !strings.Contains(s, want) {
 			t.Errorf("baseline table missing %q", want)

@@ -84,13 +84,6 @@ func (ro *Rollup) AddAll(recs []Record) {
 	ro.mu.Unlock()
 }
 
-// Len reports how many records the rollup holds.
-func (ro *Rollup) Len() int {
-	ro.mu.Lock()
-	defer ro.mu.Unlock()
-	return len(ro.recs)
-}
-
 // Records returns a copy of the held records in append order.
 func (ro *Rollup) Records() []Record {
 	ro.mu.Lock()

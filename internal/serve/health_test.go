@@ -136,7 +136,7 @@ func TestRetryHintsOnTheWire(t *testing.T) {
 	sweep := `{"workloads":["mst"],"configs":["CPP"],"scales":[1],"functional":true}`
 	sw := waitSweep(t, ts, launchSweep(t, ts, sweep).ID)
 	for _, path := range []string{fmt.Sprintf("/runs/%d/stream", run.ID),
-		fmt.Sprintf("/sweeps/%d/stream", sw.ID), "/dashboard/stream"} {
+		fmt.Sprintf("/sweeps/%d/stream", sw.ID)} {
 		resp, err := http.Get(ts.URL + path)
 		if err != nil {
 			t.Fatal(err)

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -294,9 +295,8 @@ func TestRetentionEviction(t *testing.T) {
 // through the library API.
 func TestChaosNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
 	const interval = 5000
-	baseRes, baseObs, err := cppcache.RunObserved("olden.treeadd", cppcache.CPP,
-		cppcache.Options{Scale: 1, FunctionalOnly: true},
-		cppcache.ObserveOptions{IntervalCycles: interval})
+	baseRes, baseObs, err := cppcache.Run(context.Background(), "olden.treeadd", cppcache.CPP,
+		cppcache.Options{Scale: 1, FunctionalOnly: true, Observe: &cppcache.ObserveOptions{IntervalCycles: interval}})
 	if err != nil {
 		t.Fatal(err)
 	}

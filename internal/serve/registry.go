@@ -633,11 +633,17 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 	}()
 
 	spec := run.Spec
-	oo := cppcache.ObserveOptions{
-		IntervalCycles: spec.Interval,
-		Attr:           spec.Attr,
-		OnSnapshot:     run.appendSnapshot,
-		Span:           run.execSp,
+	opts := cppcache.Options{
+		Scale:            spec.Scale,
+		HalveMissPenalty: spec.Halved,
+		FunctionalOnly:   spec.Functional,
+		Compressor:       spec.Compressor,
+		Observe: &cppcache.ObserveOptions{
+			IntervalCycles: spec.Interval,
+			Attr:           spec.Attr,
+			OnSnapshot:     run.appendSnapshot,
+		},
+		Span: run.execSp,
 	}
 	if spec.Chaos != nil && spec.Chaos.Active() {
 		inj := chaos.New(*spec.Chaos, ctx, func() {
@@ -649,15 +655,9 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 		inj.SetOnFire(func(what string) {
 			run.execSp.Event("chaos.fired", span.String("what", what))
 		})
-		oo.FaultHook = inj.Hook
+		opts.FaultHook = inj.Hook
 	}
-	res, ob, err := cppcache.RunObservedContext(ctx, spec.Workload, cppcache.CacheConfig(spec.Config),
-		cppcache.Options{
-			Scale:            spec.Scale,
-			HalveMissPenalty: spec.Halved,
-			FunctionalOnly:   spec.Functional,
-			Compressor:       spec.Compressor,
-		}, oo)
+	res, ob, err := cppcache.Run(ctx, spec.Workload, cppcache.CacheConfig(spec.Config), opts)
 	switch {
 	case err == nil:
 		g.finish(run, StateRunning, func(r *Run) {

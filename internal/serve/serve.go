@@ -23,8 +23,6 @@
 //	                           workload, config, compressor, state, since,
 //	                           until, window)
 //	GET    /fleet/{dimension}  rollup collapsed onto one grouping axis
-//	GET    /dashboard          live observatory dashboard (zero-dep HTML)
-//	GET    /dashboard/stream   SSE: periodic fleet-level samples
 //	GET    /metrics            Prometheus text exposition over all runs
 //	GET    /healthz            liveness (process is up)
 //	GET    /readyz             readiness (503 before ledger boot-replay
@@ -81,17 +79,6 @@ type Server struct {
 	// StreamWriteTimeout overrides DefaultStreamWriteTimeout when > 0.
 	// Tests set it tiny to exercise slow-consumer disconnection.
 	StreamWriteTimeout time.Duration
-
-	// DashboardSampleInterval overrides DefaultDashboardSampleInterval
-	// when > 0 (tests set it tiny to exercise the sample stream).
-	DashboardSampleInterval time.Duration
-
-	// DashboardRing overrides DefaultDashboardRing when > 0 (tests set
-	// it tiny to exercise reconnect gap accounting).
-	DashboardRing int
-
-	// dash is the shared sample feed behind /dashboard/stream.
-	dash *dashSampler
 }
 
 // NewServer builds the observatory handler around a registry.
@@ -100,7 +87,6 @@ func NewServer(reg *Registry, log *slog.Logger) *Server {
 		log = reg.log
 	}
 	s := &Server{reg: reg, log: log, mux: http.NewServeMux()}
-	s.dash = newDashSampler(s)
 	s.mux.HandleFunc("POST /runs", s.handleLaunch)
 	s.mux.HandleFunc("GET /runs", s.handleList)
 	s.mux.HandleFunc("GET /runs/{id}", s.handleRun)
@@ -116,8 +102,6 @@ func NewServer(reg *Registry, log *slog.Logger) *Server {
 	s.mux.HandleFunc("DELETE /sweeps/{id}", s.handleSweepCancel)
 	s.mux.HandleFunc("GET /fleet", s.handleFleet)
 	s.mux.HandleFunc("GET /fleet/{dimension}", s.handleFleetDim)
-	s.mux.HandleFunc("GET /dashboard", s.handleDashboard)
-	s.mux.HandleFunc("GET /dashboard/stream", s.handleDashboardStream)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)

@@ -59,7 +59,7 @@ func ValidateCompressor(config, scheme string) error {
 			return nil
 		}
 	}
-	if base == "CPP" {
+	if _, _, ok := cppVariant(base); ok {
 		return fmt.Errorf("sim: config CPP is architecturally tied to the paper's per-word codec (VC flag per word); compressor %q cannot back it", comp.Name())
 	}
 	return fmt.Errorf("sim: config %s does not compress transfers; -compressor %q applies to %s",

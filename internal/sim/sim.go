@@ -7,6 +7,7 @@ package sim
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"cppcache/internal/core"
 	"cppcache/internal/cpu"
@@ -31,7 +32,7 @@ func ExtraConfigs() []string { return []string{"VC", "LCC"} }
 // NewSystem builds the named cache hierarchy over main memory m with the
 // given latencies. A config name may carry an "@scheme" suffix selecting
 // the line-compression scheme (see compressor.go); the built system's
-// Name() preserves the suffix.
+// Name() preserves the suffix. CPP ablations are named by CPPVariant.
 func NewSystem(name string, m *mem.Memory, lat memsys.Latencies) (memsys.System, error) {
 	base, canonical, comp, err := resolveConfig(name)
 	if err != nil {
@@ -56,10 +57,6 @@ func NewSystem(name string, m *mem.Memory, lat memsys.Latencies) (memsys.System,
 		cfg := hier.PrefetchConfigDefault()
 		cfg.Lat = lat
 		return hier.NewPrefetch(cfg, m)
-	case "CPP":
-		cfg := core.DefaultConfig()
-		cfg.Lat = lat
-		return core.New(cfg, m)
 	case "VC":
 		cfg := hier.VictimConfigDefault()
 		cfg.Lat = lat
@@ -70,10 +67,15 @@ func NewSystem(name string, m *mem.Memory, lat memsys.Latencies) (memsys.System,
 		cfg.Name = canonical
 		cfg.Comp = comp
 		return hier.NewLCC(cfg, m)
-	default:
-		return nil, fmt.Errorf("sim: unknown configuration %q (known: %v)",
-			base, append(Configs(), ExtraConfigs()...))
 	}
+	if mask, victimPlacement, ok := cppVariant(base); ok {
+		cfg := core.DefaultConfig()
+		cfg.Lat = lat
+		cfg.Name, cfg.Mask, cfg.VictimPlacement = base, mask, victimPlacement
+		return core.New(cfg, m)
+	}
+	return nil, fmt.Errorf("sim: unknown configuration %q (known: %v)",
+		base, append(Configs(), ExtraConfigs()...))
 }
 
 // Result is one benchmark x configuration run.
@@ -84,16 +86,22 @@ type Result struct {
 	Mem       memsys.Stats
 }
 
-// Run simulates the program on the named configuration with full pipeline
-// timing.
-func Run(p *workload.Program, config string, lat memsys.Latencies, params cpu.Params) (Result, error) {
-	return RunObserved(p, config, lat, params, nil)
-}
-
-// Supervision bundles the run-control concerns of a supervised simulation:
-// cooperative cancellation and deterministic fault injection. The zero
-// value supervises nothing and reproduces the plain run exactly.
-type Supervision struct {
+// Options select what one run attaches. The zero value is a plain timing
+// run: full pipeline, no recorder, no cancellation, no fault hook and no
+// spans.
+type Options struct {
+	// Functional replays only the memory operations of the program, in
+	// program order, with no pipeline model. It is an order of magnitude
+	// faster and produces identical traffic and miss statistics for
+	// studies that do not need cycles; cycle counts are zero. With no
+	// pipeline clock, the operation index stands in for time (one op per
+	// "cycle" in snapshots and traces).
+	Functional bool
+	// Recorder, when non-nil, is attached to the core and the memory
+	// hierarchy, and finished (trailing snapshot emitted) before Run
+	// returns, also when the run is canceled, so any snapshots already
+	// published stay consistent. nil records nothing.
+	Recorder *obs.Recorder
 	// Ctx, when non-nil, cancels the run cooperatively: the main loops
 	// poll it every few thousand cycles/ops and abandon the run with
 	// ctx's error. nil means context.Background().
@@ -110,58 +118,22 @@ type Supervision struct {
 	Span *span.Span
 }
 
-// ctx returns the supervision context, defaulting to Background.
-func (s Supervision) ctx() context.Context {
-	if s.Ctx == nil {
-		return context.Background()
-	}
-	return s.Ctx
-}
-
 // faultHookable is implemented by hierarchies that expose fault-injection
-// points (core.Hierarchy, hier.Standard).
+// points (core.Hierarchy, hier.Standard); other systems simply skip the
+// hierarchy-level sites.
 type faultHookable interface {
 	SetFaultHook(func(site string))
 }
 
-// attachRecorder connects rec to a built system: the stats block is
-// always attached (every memsys.System exposes one), and hierarchies
-// implementing obs.Attachable additionally get event/fill hooks.
-func attachRecorder(sys memsys.System, rec *obs.Recorder) {
-	if rec == nil {
-		return
+// Run simulates the program on the named configuration, with full
+// pipeline timing unless o.Functional is set.
+func Run(p *workload.Program, config string, lat memsys.Latencies, o Options) (Result, error) {
+	ctx := o.Ctx
+	if ctx == nil {
+		ctx = context.Background()
 	}
-	rec.AttachStats(sys.Stats())
-	if a, ok := sys.(obs.Attachable); ok {
-		a.SetRecorder(rec)
-	}
-}
-
-// attachFault connects the chaos fault hook to hierarchies that expose
-// injection points; other systems simply skip the hierarchy-level sites.
-func attachFault(sys memsys.System, fault func(string)) {
-	if fault == nil {
-		return
-	}
-	if fh, ok := sys.(faultHookable); ok {
-		fh.SetFaultHook(fault)
-	}
-}
-
-// RunObserved is Run with an observability recorder attached to the core
-// and the memory hierarchy. A nil recorder reproduces Run exactly. The
-// recorder is finished (trailing snapshot emitted) before returning.
-func RunObserved(p *workload.Program, config string, lat memsys.Latencies, params cpu.Params, rec *obs.Recorder) (Result, error) {
-	return RunSupervised(p, config, lat, params, rec, Supervision{})
-}
-
-// RunSupervised is RunObserved under run supervision: the context cancels
-// the pipeline loop cooperatively (the partial recorder state is still
-// finished, so any snapshots already published stay consistent) and the
-// fault hook is plumbed into the core and the hierarchy. A zero
-// Supervision reproduces RunObserved exactly.
-func RunSupervised(p *workload.Program, config string, lat memsys.Latencies, params cpu.Params, rec *obs.Recorder, sup Supervision) (Result, error) {
-	build := sup.Span.StartChild("sim.build",
+	rec := o.Recorder
+	build := o.Span.StartChild("sim.build",
 		span.String("benchmark", p.Name), span.String("config", config))
 	m := mem.New()
 	sys, err := NewSystem(config, m, lat)
@@ -169,95 +141,94 @@ func RunSupervised(p *workload.Program, config string, lat memsys.Latencies, par
 		build.End()
 		return Result{}, err
 	}
-	c, err := cpu.New(params, sys)
-	if err != nil {
-		build.End()
-		return Result{}, err
+	var c *cpu.Core
+	if !o.Functional {
+		if c, err = cpu.New(cpu.DefaultParams(), sys); err != nil {
+			build.End()
+			return Result{}, err
+		}
 	}
-	attachRecorder(sys, rec)
-	attachFault(sys, sup.Fault)
+	if rec != nil {
+		// Every system exposes its stats block; hierarchies implementing
+		// obs.Attachable additionally get event/fill hooks.
+		rec.AttachStats(sys.Stats())
+		if a, ok := sys.(obs.Attachable); ok {
+			a.SetRecorder(rec)
+		}
+	}
+	if fh, ok := sys.(faultHookable); ok && o.Fault != nil {
+		fh.SetFaultHook(o.Fault)
+	}
 	rec.AttachMemPages(m.PagesTouched)
-	c.SetRecorder(rec)
-	c.SetFaultHook(sup.Fault)
+	if c != nil {
+		c.SetRecorder(rec)
+		c.SetFaultHook(o.Fault)
+	}
 	build.End()
-	// Replay the shared pre-decoded trace: the core recognises the
-	// concrete stream type and fetches straight from the struct-of-arrays
-	// buffers, which any number of concurrent runs share read-only.
-	running := sup.Span.StartChild("sim.run")
-	res, runErr := c.RunContext(sup.ctx(), p.Replay())
-	running.SetAttrs(span.Int("cycles", int64(res.Cycles)))
+
+	running := o.Span.StartChild("sim.run")
+	res := Result{Benchmark: p.Name, Config: config}
+	var op, mismatches int64
+	if c != nil {
+		// Replay the shared pre-decoded trace: the core recognises the
+		// concrete stream type and fetches straight from the
+		// struct-of-arrays buffers, which any number of concurrent runs
+		// share read-only.
+		res.CPU, err = c.RunContext(ctx, p.Replay())
+		running.SetAttrs(span.Int("cycles", int64(res.CPU.Cycles)))
+		mismatches = res.CPU.ValueMismatches
+	} else if op, mismatches, err = replayMemOps(ctx, p, sys, rec, o.Fault); err == nil {
+		running.SetAttrs(span.Int("ops", op))
+	}
 	running.End()
-	finish := sup.Span.StartChild("sim.finish")
+	finish := o.Span.StartChild("sim.finish")
 	rec.Finish()
 	finish.End()
-	if runErr != nil {
+
+	switch {
+	case err != nil && c != nil:
 		return Result{}, fmt.Errorf("sim: %s on %s canceled at cycle %d: %w",
-			p.Name, config, res.Cycles, runErr)
-	}
-	if res.ValueMismatches > 0 {
+			p.Name, config, res.CPU.Cycles, err)
+	case err != nil:
+		return Result{}, fmt.Errorf("sim: %s on %s (functional) canceled at op %d: %w",
+			p.Name, config, op, err)
+	case mismatches > 0 && c != nil:
 		return Result{}, fmt.Errorf("sim: %s on %s: %d load value mismatches (cache model corrupted data)",
-			p.Name, config, res.ValueMismatches)
+			p.Name, config, mismatches)
+	case mismatches > 0:
+		return Result{}, fmt.Errorf("sim: %s on %s (functional): %d load value mismatches",
+			p.Name, config, mismatches)
 	}
-	return Result{Benchmark: p.Name, Config: config, CPU: res, Mem: *sys.Stats()}, nil
+	res.Mem = *sys.Stats()
+	return res, nil
 }
 
-// RunFunctional replays only the memory operations of the program, in
-// program order, with no pipeline model. It is an order of magnitude
-// faster than Run and produces identical traffic and miss statistics for
-// studies that do not need cycles.
+// RunFunctional is Run in functional mode with nothing attached.
 func RunFunctional(p *workload.Program, config string, lat memsys.Latencies) (Result, error) {
-	return RunFunctionalObserved(p, config, lat, nil)
-}
-
-// RunFunctionalObserved is RunFunctional with an observability recorder;
-// with no pipeline clock, the operation index stands in for time (one op
-// per "cycle" in snapshots and traces). A nil recorder reproduces
-// RunFunctional exactly.
-func RunFunctionalObserved(p *workload.Program, config string, lat memsys.Latencies, rec *obs.Recorder) (Result, error) {
-	return RunFunctionalSupervised(p, config, lat, rec, Supervision{})
+	return Run(p, config, lat, Options{Functional: true})
 }
 
 // funcCancelCheckEvery is the cadence, in replayed memory ops, of the
 // functional loop's cooperative cancellation poll.
 const funcCancelCheckEvery = 4096
 
-// RunFunctionalSupervised is RunFunctionalObserved under run supervision:
-// the context cancels the replay loop cooperatively (polled every
-// funcCancelCheckEvery ops) and the fault hook fires once per memory op
-// plus at the hierarchy's own injection points. A zero Supervision
-// reproduces RunFunctionalObserved exactly.
-func RunFunctionalSupervised(p *workload.Program, config string, lat memsys.Latencies, rec *obs.Recorder, sup Supervision) (Result, error) {
-	build := sup.Span.StartChild("sim.build",
-		span.String("benchmark", p.Name), span.String("config", config))
-	m := mem.New()
-	sys, err := NewSystem(config, m, lat)
-	if err != nil {
-		build.End()
-		return Result{}, err
-	}
-	attachRecorder(sys, rec)
-	attachFault(sys, sup.Fault)
-	rec.AttachMemPages(m.PagesTouched)
-	build.End()
-	running := sup.Span.StartChild("sim.run")
+// replayMemOps is the functional loop: it replays the program's loads and
+// stores on sys in program order, polling ctx every funcCancelCheckEvery
+// ops and firing the fault hook once per memory op. It returns the ops
+// replayed, the loads that read back a wrong value and, when ctx was
+// canceled, ctx's error.
+func replayMemOps(ctx context.Context, p *workload.Program, sys memsys.System, rec *obs.Recorder, fault func(string)) (op, mismatches int64, err error) {
 	// Replay the shared pre-decoded trace. The functional loop touches
 	// only four of the record's eight fields, so the struct-of-arrays
 	// buffers keep every byte it reads hot and sequential.
 	d := p.Decoded()
 	ops, addrs, values, pcs := d.Ops(), d.Addrs(), d.Values(), d.PCs()
-	done := sup.ctx().Done()
-	fault := sup.Fault
-	var mismatches, op int64
+	done := ctx.Done()
 	for i := range ops {
 		if done != nil && op%funcCancelCheckEvery == 0 {
 			select {
 			case <-done:
-				running.End()
-				finish := sup.Span.StartChild("sim.finish")
-				rec.Finish()
-				finish.End()
-				return Result{}, fmt.Errorf("sim: %s on %s (functional) canceled at op %d: %w",
-					p.Name, config, op, sup.ctx().Err())
+				return op, mismatches, ctx.Err()
 			default:
 			}
 		}
@@ -280,49 +251,34 @@ func RunFunctionalSupervised(p *workload.Program, config string, lat memsys.Late
 		op++
 		rec.OpTick(op)
 	}
-	running.SetAttrs(span.Int("ops", op))
-	running.End()
-	finish := sup.Span.StartChild("sim.finish")
-	rec.Finish()
-	finish.End()
-	if mismatches > 0 {
-		return Result{}, fmt.Errorf("sim: %s on %s (functional): %d load value mismatches",
-			p.Name, config, mismatches)
-	}
-	return Result{Benchmark: p.Name, Config: config, Mem: *sys.Stats()}, nil
+	return op, mismatches, nil
 }
 
-// NewCPPSystem builds a CPP hierarchy with explicit design knobs: the
-// affiliated-line mask and the victim-placement policy. Used by the
-// ablation studies.
-func NewCPPSystem(m *mem.Memory, lat memsys.Latencies, mask uint32, victimPlacement bool) (memsys.System, error) {
-	cfg := core.DefaultConfig()
-	cfg.Lat = lat
-	cfg.Mask = mask
-	cfg.VictimPlacement = victimPlacement
+// CPPVariant names a CPP hierarchy with explicit design knobs for the
+// ablation studies: the affiliated-line mask (the paper pairs line n with
+// n^0x1) and the victim-placement policy (§3.3). The paper's design is
+// plain "CPP"; other knobs read "CPP(mask=0x2)", "CPP-novictim" or
+// "CPP(mask=0x2)-novictim". NewSystem accepts exactly these names.
+func CPPVariant(mask uint32, victimPlacement bool) string {
+	name := "CPP"
 	if mask != 1 {
-		cfg.Name = fmt.Sprintf("CPP(mask=%#x)", mask)
+		name = fmt.Sprintf("CPP(mask=%#x)", mask)
 	}
 	if !victimPlacement {
-		cfg.Name += "-novictim"
+		name += "-novictim"
 	}
-	return core.New(cfg, m)
+	return name
 }
 
-// RunCPPVariant simulates a program on a CPP hierarchy with custom knobs.
-func RunCPPVariant(p *workload.Program, lat memsys.Latencies, params cpu.Params, mask uint32, victimPlacement bool) (Result, error) {
-	m := mem.New()
-	sys, err := NewCPPSystem(m, lat, mask, victimPlacement)
-	if err != nil {
-		return Result{}, err
+// cppVariant parses a name CPPVariant returns. Any other spelling of the
+// same knobs is rejected, so one design has one name.
+func cppVariant(name string) (mask uint32, victimPlacement, ok bool) {
+	rest, noVictim := strings.CutSuffix(name, "-novictim")
+	mask = 1
+	if rest != "CPP" {
+		if _, err := fmt.Sscanf(rest, "CPP(mask=%v)", &mask); err != nil {
+			return 0, false, false
+		}
 	}
-	c, err := cpu.New(params, sys)
-	if err != nil {
-		return Result{}, err
-	}
-	res := c.Run(p.Replay())
-	if res.ValueMismatches > 0 {
-		return Result{}, fmt.Errorf("sim: %s on %s: %d load value mismatches", p.Name, sys.Name(), res.ValueMismatches)
-	}
-	return Result{Benchmark: p.Name, Config: sys.Name(), CPU: res, Mem: *sys.Stats()}, nil
+	return mask, !noVictim, CPPVariant(mask, !noVictim) == name
 }

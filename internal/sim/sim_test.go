@@ -3,7 +3,6 @@ package sim
 import (
 	"testing"
 
-	"cppcache/internal/cpu"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
 	"cppcache/internal/workload"
@@ -23,7 +22,9 @@ func TestConfigs(t *testing.T) {
 }
 
 func TestNewSystemAll(t *testing.T) {
-	for _, name := range Configs() {
+	names := append(append(Configs(), ExtraConfigs()...), "BCC@fpc", "LCC@bdi",
+		CPPVariant(0x2, false), CPPVariant(0x4, true), CPPVariant(1, false))
+	for _, name := range names {
 		sys, err := NewSystem(name, mem.New(), memsys.DefaultLatencies())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -31,13 +32,20 @@ func TestNewSystemAll(t *testing.T) {
 		if sys.Name() != name {
 			t.Errorf("Name() = %s, want %s", sys.Name(), name)
 		}
+		rebuilt, err := NewSystem(sys.Name(), mem.New(), memsys.DefaultLatencies())
+		if err != nil || rebuilt.Name() != name {
+			t.Errorf("NewSystem(%q) did not rebuild %s: %v", sys.Name(), name, err)
+		}
 		sys.Write(0x1000, 7)
 		if v, _ := sys.Read(0x1000); v != 7 {
 			t.Errorf("%s: read back %d", name, v)
 		}
 	}
-	if _, err := NewSystem("XYZ", mem.New(), memsys.DefaultLatencies()); err == nil {
-		t.Error("unknown config accepted")
+	// Only CPPVariant's spelling of a CPP design is a config name.
+	for _, name := range []string{"XYZ", "CPP(mask=0x1)", "CPP(mask=2)", "CPPX"} {
+		if _, err := NewSystem(name, mem.New(), memsys.DefaultLatencies()); err == nil {
+			t.Errorf("config %q accepted", name)
+		}
 	}
 }
 
@@ -50,7 +58,7 @@ func TestRunMatchesFunctionalStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := bm.Build(1)
-	full, err := Run(p, "BC", memsys.DefaultLatencies(), cpu.DefaultParams())
+	full, err := Run(p, "BC", memsys.DefaultLatencies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +87,7 @@ func TestRunAllConfigsVerifiesValues(t *testing.T) {
 	}
 	p := bm.Build(1)
 	for _, cfg := range Configs() {
-		if _, err := Run(p, cfg, memsys.DefaultLatencies(), cpu.DefaultParams()); err != nil {
+		if _, err := Run(p, cfg, memsys.DefaultLatencies(), Options{}); err != nil {
 			t.Errorf("%s: %v", cfg, err)
 		}
 	}
@@ -88,14 +96,14 @@ func TestRunAllConfigsVerifiesValues(t *testing.T) {
 func TestRunCPPVariant(t *testing.T) {
 	bm, _ := workload.ByName("olden.mst")
 	p := bm.Build(1)
-	base, err := RunCPPVariant(p, memsys.DefaultLatencies(), cpu.DefaultParams(), 0x1, true)
+	base, err := Run(p, CPPVariant(0x1, true), memsys.DefaultLatencies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if base.Config != "CPP" {
 		t.Errorf("default variant name = %s", base.Config)
 	}
-	v, err := RunCPPVariant(p, memsys.DefaultLatencies(), cpu.DefaultParams(), 0x2, false)
+	v, err := Run(p, CPPVariant(0x2, false), memsys.DefaultLatencies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,11 +120,11 @@ func TestBCAndBCCSameTiming(t *testing.T) {
 	// the format in which the data is stored and transmitted."
 	bm, _ := workload.ByName("olden.perimeter")
 	p := bm.Build(1)
-	bc, err := Run(p, "BC", memsys.DefaultLatencies(), cpu.DefaultParams())
+	bc, err := Run(p, "BC", memsys.DefaultLatencies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	bcc, err := Run(p, "BCC", memsys.DefaultLatencies(), cpu.DefaultParams())
+	bcc, err := Run(p, "BCC", memsys.DefaultLatencies(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package cppcache
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -14,18 +15,18 @@ import (
 func TestTracingIsInert(t *testing.T) {
 	for _, cfg := range []CacheConfig{CPP, BC} {
 		for _, functional := range []bool{true, false} {
-			opts := Options{Scale: 1, FunctionalOnly: functional}
-			oo := ObserveOptions{IntervalCycles: 5000}
-			base, baseObs, err := RunObserved("olden.treeadd", cfg, opts, oo)
+			opts := Options{Scale: 1, FunctionalOnly: functional,
+				Observe: &ObserveOptions{IntervalCycles: 5000}}
+			base, baseObs, err := Run(context.Background(), "olden.treeadd", cfg, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			tr := span.New(0)
 			root := tr.Start("run", nil)
-			ooTraced := oo
-			ooTraced.Span = root
-			got, gotObs, err := RunObserved("olden.treeadd", cfg, opts, ooTraced)
+			traced := opts
+			traced.Span = root
+			got, gotObs, err := Run(context.Background(), "olden.treeadd", cfg, traced)
 			root.End()
 			if err != nil {
 				t.Fatal(err)
@@ -72,15 +73,17 @@ func TestTracingIsInert(t *testing.T) {
 }
 
 // TestTracingNilSpanRecordsNothing: the disabled path must leave the
-// tracer untouched (the ObserveOptions zero value carries a nil span, and
-// every hook downstream must no-op through it).
+// tracer untouched (the Options zero value carries a nil span, and every
+// hook downstream must no-op through it).
 func TestTracingNilSpanRecordsNothing(t *testing.T) {
-	_, _, err := RunObserved("olden.treeadd", BC, Options{Scale: 1, FunctionalOnly: true}, ObserveOptions{})
+	opts := Options{Scale: 1, FunctionalOnly: true, Observe: &ObserveOptions{}}
+	_, _, err := Run(context.Background(), "olden.treeadd", BC, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var nilSpan *span.Span
-	_, _, err = RunObserved("olden.treeadd", BC, Options{Scale: 1, FunctionalOnly: true}, ObserveOptions{Span: nilSpan})
+	opts.Span = nilSpan
+	_, _, err = Run(context.Background(), "olden.treeadd", BC, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
