@@ -2,7 +2,7 @@ package cppcache
 
 // Benchmarks for the simulator-throughput work: the shared trace
 // pre-decode (struct-of-arrays replay vs generic stream iteration) and
-// the work-stealing run scheduler's scaling. cmd/cppbench -benchjson
+// the run scheduler's scaling. cmd/cppbench -benchjson
 // emits the same measurements machine-readably (predecode and parallel
 // sections of BENCH_simperf.json).
 
@@ -88,7 +88,7 @@ func BenchmarkReplayPredecoded(b *testing.B) {
 }
 
 // BenchmarkSchedulerScaling fans a fixed batch of independent BC runs
-// over the work-stealing scheduler at 1, 2 and NumCPU workers. On a
+// over the run scheduler at 1, 2 and NumCPU workers. On a
 // multi-core machine the per-op time should drop near-linearly with the
 // worker count; on one core it measures the scheduler's overhead.
 func BenchmarkSchedulerScaling(b *testing.B) {
@@ -111,8 +111,8 @@ func BenchmarkSchedulerScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers_%d", w), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				err := sched.Do(context.Background(), runs, w,
-					func(_ context.Context, _, _ int) error {
+				err := sched.Do(runs, w, nil, nil,
+					func(int) error {
 						_, _, err := RunProgram(context.Background(), p, BC, Options{Scale: 1})
 						return err
 					})

@@ -62,7 +62,7 @@ type predecodeReport struct {
 
 // parallelEntry is one worker-count row of the scheduler scaling probe: a
 // fixed batch of independent full-pipeline runs fanned over the
-// work-stealing scheduler.
+// run scheduler.
 type parallelEntry struct {
 	Workers     int     `json:"workers"`
 	Runs        int     `json:"runs"`
@@ -188,10 +188,9 @@ func measurePredecode(bench string, scale int) (*predecodeReport, error) {
 }
 
 // measureParallel fans a fixed batch of independent BC runs over the
-// work-stealing scheduler at increasing worker counts and records the
-// aggregate throughput of each batch. With a trace attached, every batch
-// gets a span and every run a child span carrying its worker index and
-// steal count.
+// scheduler at increasing worker counts and records the aggregate
+// throughput of each batch. With a trace attached, every batch gets a span
+// and every run a child span carrying its job and worker index.
 func measureParallel(p *cppcache.Program, scale int, tr *span.Span) (*parallelReport, error) {
 	cores := runtime.NumCPU()
 	counts := []int{1}
@@ -212,9 +211,9 @@ func measureParallel(p *cppcache.Program, scale int, tr *span.Span) (*parallelRe
 		batch := tr.StartChild(fmt.Sprintf("parallel.w%d", w), span.Int("workers", int64(w)))
 		start := time.Now()
 		var insts int64
-		err := sched.DoTraced(context.Background(), runs, w, batch,
+		err := sched.Do(runs, w, batch,
 			func(i int) string { return fmt.Sprintf("run %d", i) },
-			func(_ context.Context, _, i int) error {
+			func(i int) error {
 				r, _, err := cppcache.RunProgram(context.Background(), p, cppcache.BC, cppcache.Options{Scale: scale})
 				if err != nil {
 					return err

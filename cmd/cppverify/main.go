@@ -18,7 +18,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -137,7 +136,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Fan the stream x config battery over the work-stealing scheduler and
+	// Fan the stream x config battery over the scheduler and
 	// report in job order afterwards, so the output (and the choice of
 	// "first" divergence to minimize) is identical for any worker count.
 	var jobList []job
@@ -148,9 +147,9 @@ func main() {
 	}
 	opt := verify.Options{DeepEvery: *deep}
 	divs := make([]*verify.Divergence, len(jobList))
-	if err := sched.DoTraced(context.Background(), len(jobList), *parallel, root,
+	if err := sched.Do(len(jobList), *parallel, root,
 		func(i int) string { return "verify " + jobList[i].config + "/" + jobList[i].label },
-		func(_ context.Context, _, i int) error {
+		func(i int) error {
 			d, err := verify.CheckConfig(jobList[i].config, jobList[i].stream, opt)
 			if err != nil {
 				return err

@@ -324,12 +324,11 @@ func RunProgram(ctx context.Context, p *Program, cfg CacheConfig, opts Options) 
 	var ob *Observation
 	if oo := opts.Observe; oo != nil {
 		so.Recorder = obs.New(obs.Config{
-			Interval:       oo.IntervalCycles,
-			Trace:          oo.Trace,
-			TraceCap:       oo.TraceCap,
-			Attr:           oo.Attr,
-			AttrRegionBits: oo.AttrRegionBits,
-			OnSnapshot:     oo.OnSnapshot,
+			Interval:   oo.IntervalCycles,
+			Trace:      oo.Trace,
+			TraceCap:   oo.TraceCap,
+			Attr:       oo.Attr,
+			OnSnapshot: oo.OnSnapshot,
 		})
 		ob = &Observation{rec: so.Recorder}
 	}
@@ -365,11 +364,8 @@ type ObserveOptions struct {
 	TraceCap int
 	// Attr enables the PC/region attribution profiler: L1 misses,
 	// compression-failure fill words and affiliated-prefetch hits are
-	// attributed to instruction PCs and data-address regions.
+	// attributed to instruction PCs and 4 KiB data-address regions.
 	Attr bool
-	// AttrRegionBits sets the attribution region granularity in address
-	// bits (0 = 12, i.e. 4 KiB regions).
-	AttrRegionBits int
 	// OnSnapshot, when set, receives each interval snapshot synchronously
 	// as it is taken, while the run is still in flight. The callback runs
 	// on the simulation goroutine; consumers that share the snapshot with

@@ -165,7 +165,7 @@ type robEntry struct {
 }
 
 // Core is the simulated processor. Create with New; a Core is single-use:
-// Run consumes the stream once.
+// Run replays the trace once.
 type Core struct {
 	p    Params
 	d    memsys.System
@@ -280,15 +280,17 @@ const cancelCheckEvery = 4096
 // mispredicted branch completes.
 const stallSentinel = int64(1) << 40
 
-// Run replays the stream to completion and returns timing statistics. It
+// Run replays the trace to completion and returns timing statistics. It
 // is RunContext with a background (never-canceled) context.
-func (c *Core) Run(s isa.Stream) Result {
-	res, _ := c.RunContext(context.Background(), s)
+func (c *Core) Run(rp *trace.Replayer) Result {
+	res, _ := c.RunContext(context.Background(), rp)
 	return res
 }
 
-// RunContext replays the stream to completion and returns timing
-// statistics.
+// RunContext replays the trace from its first instruction to completion
+// and returns timing statistics. Fetch indexes the decoded trace's
+// struct-of-arrays buffers directly: no interface call and no record copy
+// per instruction.
 //
 // The pipeline state lives in preallocated rings (c.rob, c.ifq) and
 // scratch slices, so the steady-state loop performs no heap allocation.
@@ -304,8 +306,7 @@ func (c *Core) Run(s isa.Stream) Result {
 // deadline has expired, abandons the run and returns the partial statistics
 // together with ctx's error. A context that can never be canceled (Done()
 // == nil, e.g. context.Background()) skips the polling entirely.
-func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
-	s.Reset()
+func (c *Core) RunContext(ctx context.Context, rp *trace.Replayer) (Result, error) {
 	done := ctx.Done()
 	var (
 		iters           int64
@@ -342,28 +343,12 @@ func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
 		c.regReadyAt[i] = 0
 	}
 
-	// Pre-decoded fast path: when the stream is a trace.Replayer, fetch
-	// indexes the shared struct-of-arrays buffers directly instead of
-	// paying an interface call and a record copy per instruction. Any
-	// other Stream keeps the generic path, instruction for instruction
-	// identical.
-	var (
-		dOps           []isa.Op
-		dDests, dSrc1s []int32
-		dSrc2s         []int32
-		dAddrs, dPCs   []mach.Addr
-		dValues        []mach.Word
-		dTakens        []bool
-		dPos, dLen     int
-	)
-	if rp, ok := s.(*trace.Replayer); ok {
-		d := rp.Decoded()
-		dOps, dDests, dSrc1s, dSrc2s = d.Ops(), d.Dests(), d.Src1s(), d.Src2s()
-		dAddrs, dValues, dPCs, dTakens = d.Addrs(), d.Values(), d.PCs(), d.Takens()
-		dLen = d.Len()
-	}
+	d := rp.Decoded()
+	dOps, dDests, dSrc1s, dSrc2s := d.Ops(), d.Dests(), d.Src1s(), d.Src2s()
+	dAddrs, dValues, dPCs, dTakens := d.Addrs(), d.Values(), d.PCs(), d.Takens()
+	dPos, dLen := 0, d.Len()
 
-	// Drain loop: run until the stream is exhausted and the ROB is empty.
+	// Drain loop: run until the trace is exhausted and the ROB is empty.
 	for !fetchDone || robLen > 0 || ifqLen > 0 {
 		cycle++
 		if cycle > stallSentinel {
@@ -558,26 +543,17 @@ func (c *Core) RunContext(ctx context.Context, s isa.Stream) (Result, error) {
 			// pinned timing depends on that); fetched only feeds the
 			// idle-cycle progress check below.
 			for ifqLen < ifqSize {
-				var in isa.Inst
-				if dOps != nil {
-					if dPos >= dLen {
-						fetchDone = true
-						break
-					}
-					in = isa.Inst{
-						Op: dOps[dPos], Dest: dDests[dPos],
-						Src1: dSrc1s[dPos], Src2: dSrc2s[dPos],
-						Addr: dAddrs[dPos], Value: dValues[dPos],
-						Taken: dTakens[dPos], PC: dPCs[dPos],
-					}
-					dPos++
-				} else {
-					var ok bool
-					if in, ok = s.Next(); !ok {
-						fetchDone = true
-						break
-					}
+				if dPos >= dLen {
+					fetchDone = true
+					break
 				}
+				in := isa.Inst{
+					Op: dOps[dPos], Dest: dDests[dPos],
+					Src1: dSrc1s[dPos], Src2: dSrc2s[dPos],
+					Addr: dAddrs[dPos], Value: dValues[dPos],
+					Taken: dTakens[dPos], PC: dPCs[dPos],
+				}
+				dPos++
 				res.ICacheAccesses++
 				if !c.ic.access(in.PC) {
 					res.ICacheMisses++

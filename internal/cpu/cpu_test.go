@@ -8,6 +8,7 @@ import (
 	"cppcache/internal/mach"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
+	"cppcache/internal/trace"
 )
 
 // perfectMem is a memsys.System with fixed latency and no state, for
@@ -36,7 +37,7 @@ func run(t *testing.T, insts []isa.Inst, d memsys.System) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Run(isa.NewSliceStream(insts))
+	return c.Run(trace.NewDecoded(insts).Replay())
 }
 
 // alu builds a simple ALU instruction.
@@ -114,7 +115,7 @@ func TestLoadLatencyBlocksDependents(t *testing.T) {
 		}
 		d := newPerfect(lat)
 		c, _ := New(DefaultParams(), d)
-		return c.Run(isa.NewSliceStream(insts))
+		return c.Run(trace.NewDecoded(insts).Replay())
 	}
 	fast := mk(1)
 	slow := mk(100)
@@ -164,7 +165,7 @@ func TestBranchMispredictCost(t *testing.T) {
 		}
 		d := newPerfect(1)
 		c, _ := New(DefaultParams(), d)
-		return c.Run(isa.NewSliceStream(insts))
+		return c.Run(trace.NewDecoded(insts).Replay())
 	}
 	steady := mk(false)
 	flaky := mk(true)
@@ -266,7 +267,7 @@ func TestRunWithRealHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Run(isa.NewSliceStream(insts))
+	res := c.Run(trace.NewDecoded(insts).Replay())
 	if res.ValueMismatches != 0 {
 		t.Fatalf("%d value mismatches through the real hierarchy", res.ValueMismatches)
 	}
@@ -280,11 +281,11 @@ func BenchmarkCoreALU(b *testing.B) {
 	for i := range insts {
 		insts[i] = alu(int32(i), isa.NoReg, isa.NoReg, mach.Addr(i%64*8))
 	}
-	s := isa.NewSliceStream(insts)
+	d := trace.NewDecoded(insts)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, _ := New(DefaultParams(), newPerfect(1))
-		c.Run(s)
+		c.Run(d.Replay())
 	}
 }
 
@@ -340,7 +341,7 @@ func TestCommitWidthBoundsIPC(t *testing.T) {
 		insts = append(insts, alu(int32(i), isa.NoReg, isa.NoReg, mach.Addr(i%32*4)))
 	}
 	c, _ := New(p, newPerfect(1))
-	res := c.Run(isa.NewSliceStream(insts))
+	res := c.Run(trace.NewDecoded(insts).Replay())
 	if res.IPC() > 1.01 {
 		t.Errorf("IPC %v exceeds commit width 1", res.IPC())
 	}
@@ -360,7 +361,7 @@ func TestROBSizeLimitsOverlap(t *testing.T) {
 			})
 		}
 		c, _ := New(p, newPerfect(80))
-		return c.Run(isa.NewSliceStream(insts))
+		return c.Run(trace.NewDecoded(insts).Replay())
 	}
 	small := mk(4)
 	big := mk(128)
@@ -383,7 +384,7 @@ func TestMemPortLimit(t *testing.T) {
 			})
 		}
 		c, _ := New(p, newPerfect(1))
-		return c.Run(isa.NewSliceStream(insts))
+		return c.Run(trace.NewDecoded(insts).Replay())
 	}
 	one := mk(1)
 	four := mk(4)

@@ -10,7 +10,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"sync"
 
@@ -113,11 +112,11 @@ func (s *Suite) ensure(keys []runKey) error {
 		}
 	}
 
-	// Fan the missing runs over the work-stealing scheduler. Results land
-	// in the key-indexed map and the reported error is the one of the
+	// Fan the missing runs over the scheduler. Results land in the
+	// key-indexed map and the reported error is the one of the
 	// lowest-numbered failing run, so the outcome is independent of worker
 	// count and interleaving. With a trace attached, every run gets a span
-	// under it carrying the job, worker and steal-count attributes.
+	// under it carrying the job and worker attributes.
 	name := func(j int) string {
 		k := missing[j]
 		n := "run " + k.bench + "/" + k.config
@@ -126,8 +125,8 @@ func (s *Suite) ensure(keys []runKey) error {
 		}
 		return n
 	}
-	return sched.DoTraced(context.Background(), len(missing), s.opt.Workers, s.opt.Trace, name,
-		func(_ context.Context, _, j int) error {
+	return sched.Do(len(missing), s.opt.Workers, s.opt.Trace, name,
+		func(j int) error {
 			k := missing[j]
 			p, err := s.program(k.bench)
 			if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"cppcache/internal/compress"
@@ -27,8 +26,8 @@ func SchemeTraffic(scale, workers int) (*stats.Table, error) {
 	benches := workload.Names()
 	t := stats.NewTable("BCC off-chip traffic ratio vs BC, per compression scheme", benches, schemes)
 	lat := memsys.DefaultLatencies()
-	err := sched.Do(context.Background(), len(benches), workers,
-		func(_ context.Context, _, j int) error {
+	err := sched.Do(len(benches), workers, nil, nil,
+		func(j int) error {
 			// Each job owns one row; concurrent Set calls touch disjoint
 			// row slices.
 			bench := benches[j]

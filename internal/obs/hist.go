@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"math/bits"
 	"strings"
@@ -138,4 +139,42 @@ func (h *Histogram) String() string {
 		fmt.Fprintf(&sb, "  [%8d, %8d] %10d %s\n", b.Lo, b.Hi, b.Count, strings.Repeat("#", bar))
 	}
 	return sb.String()
+}
+
+// EscapeLabel escapes a Prometheus label value per the text exposition
+// format: backslash, double quote and newline.
+func EscapeLabel(v string) string { return labelEscaper.Replace(v) }
+
+var labelEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
+
+// WritePrometheus renders hists, in the given order, as the Prometheus
+// histogram family name (text exposition 0.0.4), one series per histogram
+// labelled label="<Name>". unit is the number of observed units per
+// exposition unit (1e9 renders nanoseconds as seconds). Buckets are
+// cumulative and every series shares one le set, the upper bounds of the
+// power-of-two buckets that any of hists has filled, so series aggregate
+// across labels. +Inf equals _count, and _sum is the exact integer sum
+// divided by unit once.
+func WritePrometheus(w io.Writer, name, help, label string, unit float64, hists []*Histogram) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s histogram\n", name, help, name)
+	var filled [histBuckets]bool
+	for _, h := range hists {
+		for i, c := range h.buckets {
+			filled[i] = filled[i] || c > 0
+		}
+	}
+	for _, h := range hists {
+		series := fmt.Sprintf(`%s="%s"`, label, EscapeLabel(h.Name))
+		var cum int64
+		for i, c := range h.buckets {
+			cum += c
+			if filled[i] {
+				_, hi := BucketBounds(i)
+				fmt.Fprintf(w, "%s_bucket{%s,le=\"%g\"} %d\n", name, series, float64(hi)/unit, cum)
+			}
+		}
+		fmt.Fprintf(w, "%s_bucket{%s,le=\"+Inf\"} %d\n", name, series, h.Count)
+		fmt.Fprintf(w, "%s_sum{%s} %v\n", name, series, float64(h.Sum)/unit)
+		fmt.Fprintf(w, "%s_count{%s} %d\n", name, series, h.Count)
+	}
 }

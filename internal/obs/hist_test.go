@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -90,5 +93,80 @@ func TestHistogramEmpty(t *testing.T) {
 	}
 	if s := h.String(); !strings.Contains(s, "n=0") {
 		t.Errorf("String() = %q", s)
+	}
+}
+
+// TestWritePrometheus checks the exposition of a histogram family: every
+// series carries the same le set (the buckets any series filled), bucket
+// counts are cumulative and non-decreasing, +Inf equals _count, _sum is
+// the exact integer sum over unit, and label values are escaped.
+func TestWritePrometheus(t *testing.T) {
+	a, b := NewHistogram("exec"), NewHistogram(`we"ird\`)
+	for _, v := range []int64{1500, 1500, 3_000_000, 999_999_999} {
+		a.Observe(v)
+	}
+	b.Observe(0)
+	b.Observe(2047)
+	var sb strings.Builder
+	WritePrometheus(&sb, "x_seconds", "Help text.", "stage", 1e9, []*Histogram{a, b})
+	out := sb.String()
+	if !strings.HasPrefix(out, "# HELP x_seconds Help text.\n# TYPE x_seconds histogram\n") {
+		t.Fatalf("missing HELP/TYPE header:\n%s", out)
+	}
+
+	line := regexp.MustCompile(`^x_seconds_(bucket|sum|count)\{stage="((?:[^"\\]|\\.)*)"(?:,le="([^"]+)")?\} (\S+)$`)
+	les := map[string][]string{}
+	buckets := map[string][]int64{}
+	sums, counts := map[string]string{}, map[string]int64{}
+	for _, l := range strings.Split(strings.TrimSpace(out), "\n")[2:] {
+		m := line.FindStringSubmatch(l)
+		if m == nil {
+			t.Fatalf("malformed line %q", l)
+		}
+		kind, stage, le, val := m[1], m[2], m[3], m[4]
+		switch kind {
+		case "bucket":
+			n, err := strconv.ParseInt(val, 10, 64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			les[stage] = append(les[stage], le)
+			buckets[stage] = append(buckets[stage], n)
+		case "sum":
+			sums[stage] = val
+		case "count":
+			counts[stage], _ = strconv.ParseInt(val, 10, 64)
+		}
+	}
+
+	// One le set: bucket 0 (from b's 0), 11 (1500 and 2047), 22 (3e6),
+	// 30 (999999999), each rendered as its inclusive upper bound.
+	wantLE := []string{"0", "2.047e-06", "0.004194303", "1.073741823", "+Inf"}
+	for _, h := range []*Histogram{a, b} {
+		stage := EscapeLabel(h.Name)
+		if got := strings.Join(les[stage], " "); got != strings.Join(wantLE, " ") {
+			t.Errorf("%s le set = %s, want %s", h.Name, got, strings.Join(wantLE, " "))
+		}
+		bs := buckets[stage]
+		for i := 1; i < len(bs); i++ {
+			if bs[i] < bs[i-1] {
+				t.Errorf("%s buckets not cumulative: %v", h.Name, bs)
+			}
+		}
+		if inf := bs[len(bs)-1]; inf != h.Count || counts[stage] != h.Count {
+			t.Errorf("%s +Inf %d, _count %d, want %d", h.Name, inf, counts[stage], h.Count)
+		}
+		if want := fmt.Sprint(float64(h.Sum) / 1e9); sums[stage] != want {
+			t.Errorf("%s _sum = %s, want %s", h.Name, sums[stage], want)
+		}
+	}
+	if got := buckets["exec"]; fmt.Sprint(got) != "[0 2 3 4 4]" {
+		t.Errorf("exec buckets = %v, want [0 2 3 4 4]", got)
+	}
+	if got := buckets[`we\"ird\\`]; fmt.Sprint(got) != "[1 2 2 2 2]" {
+		t.Errorf("escaped series buckets = %v, want [1 2 2 2 2]", got)
+	}
+	if sums["exec"] != "1.003002999" {
+		t.Errorf("exec _sum = %s, want the exact 1.003002999", sums["exec"])
 	}
 }

@@ -1,11 +1,10 @@
 package obs
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 
 	"cppcache/internal/mach"
+	"cppcache/internal/span"
 )
 
 // EventKind enumerates the traced simulator events.
@@ -139,67 +138,29 @@ func (g *ring) events() []Event {
 	return out
 }
 
-// chromeEvent is one entry of the Chrome trace_event format
-// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
-// Field order is fixed by the struct, keeping the output byte-stable for
-// golden tests.
-type chromeEvent struct {
-	Name  string     `json:"name"`
-	Ph    string     `json:"ph"`
-	TS    int64      `json:"ts"`
-	PID   int        `json:"pid"`
-	TID   int        `json:"tid"`
-	Scope string     `json:"s,omitempty"`
-	Args  *chromeArg `json:"args,omitempty"`
-}
-
-type chromeArg struct {
-	Addr string `json:"addr,omitempty"`
-	Aux  int64  `json:"aux,omitempty"`
-	Name string `json:"name,omitempty"`
-}
-
-// chromeTrace is the top-level trace_event envelope.
-type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
-	DisplayTimeUnit string        `json:"displayTimeUnit"`
-	Dropped         int64         `json:"droppedEventCount"`
-}
-
 // threadNames labels the Chrome trace threads.
-var threadNames = map[int]string{1: "L1", 2: "L2", 3: "prefetch"}
+var threadNames = [4]string{1: "L1", 2: "L2", 3: "prefetch"}
 
-// ChromeTrace renders the retained events as Chrome trace_event JSON,
-// loadable in chrome://tracing or Perfetto. Events are instants ("ph":"i")
-// with one simulated cycle mapped to one microsecond.
+// ChromeTrace renders the retained events as Chrome trace_event JSON
+// through span's encoder, loadable in chrome://tracing or Perfetto.
+// Events are instants ("ph":"i") with one simulated cycle mapped to one
+// microsecond.
 func (r *Recorder) ChromeTrace() []byte {
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms"}
-	if r != nil && r.ring != nil {
-		tr.Dropped = r.ring.dropped
-		for tid := 1; tid <= 3; tid++ {
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name: "thread_name", Ph: "M", PID: 0, TID: tid,
-				Args: &chromeArg{Name: threadNames[tid]},
-			})
-		}
-		for _, e := range r.ring.events() {
-			tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-				Name:  e.Kind.String(),
-				Ph:    "i",
-				TS:    e.Cycle,
-				PID:   0,
-				TID:   eventTIDs[e.Kind],
-				Scope: "t",
-				Args:  &chromeArg{Addr: fmt.Sprintf("%#08x", e.Addr), Aux: e.Aux},
-			})
-		}
+	if r == nil || r.ring == nil {
+		return span.EncodeChrome(nil, 0, "")
 	}
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
-	enc.SetIndent("", " ")
-	if err := enc.Encode(tr); err != nil {
-		// The structs above contain nothing json.Marshal can reject.
-		panic(fmt.Sprintf("obs: chrome trace encoding: %v", err))
+	evs := make([]span.ChromeEvent, 0, 3+r.ring.n)
+	for tid := 1; tid <= 3; tid++ {
+		evs = append(evs, span.ChromeEvent{Name: "thread_name", Ph: "M", TID: tid,
+			Args: map[string]any{"name": threadNames[tid]}})
 	}
-	return buf.Bytes()
+	for _, e := range r.ring.events() {
+		args := map[string]any{"addr": fmt.Sprintf("%#08x", e.Addr)}
+		if e.Aux != 0 {
+			args["aux"] = e.Aux
+		}
+		evs = append(evs, span.ChromeEvent{Name: e.Kind.String(), Ph: "i", TS: e.Cycle,
+			TID: eventTIDs[e.Kind], Scope: "t", Args: args})
+	}
+	return span.EncodeChrome(evs, r.ring.dropped, "")
 }

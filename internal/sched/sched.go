@@ -1,7 +1,7 @@
-// Package sched is the repo's multi-run scheduler: it fans a batch of
+// Package sched is the repo's one bounded fan-out: it runs a batch of
 // independent jobs (simulation runs, sweep cells, verification batteries)
-// across CPU cores with work stealing, while keeping every observable
-// output deterministic.
+// on a fixed number of goroutines, while keeping every observable output
+// deterministic.
 //
 // Determinism comes from the job-index contract: jobs are named 0..n-1,
 // callers write job i's result into slot i of a pre-sized slice, and Do
@@ -9,19 +9,16 @@
 // which job — and in what order — varies run to run; nothing the caller
 // can observe does.
 //
-// The stealing scheme is the classic contiguous-range split: each worker
-// starts with an even slice of the index space and pops from its front,
-// preserving the cache-friendly property that one worker walks mostly
-// consecutive jobs. A worker that runs dry steals the upper half of the
-// richest remaining range. With per-worker scratch (cores, hierarchies)
-// reused across the jobs a worker executes, steady-state allocation stays
-// proportional to workers, not jobs.
+// Workers claim jobs from one shared atomic cursor, in index order. The
+// batches here are tens to hundreds of jobs of milliseconds to seconds
+// each, so the cursor is never contended, and a slow job holds up only
+// the worker running it: the others keep claiming the rest.
 package sched
 
 import (
-	"context"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"cppcache/internal/span"
 )
@@ -35,230 +32,44 @@ func Workers(n int) int {
 	return n
 }
 
-// jobRange is one worker's remaining range of job indices, [lo, hi).
-type jobRange struct {
-	mu sync.Mutex
-	lo int
-	hi int
-}
-
-// pop takes the front job of the range.
-func (s *jobRange) pop() (int, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.lo >= s.hi {
-		return 0, false
-	}
-	j := s.lo
-	s.lo++
-	return j, true
-}
-
-// size reports the remaining job count (racy snapshot, used only as a
-// stealing heuristic).
-func (s *jobRange) size() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.hi - s.lo
-}
-
-// stealFrom takes the upper half of s's remaining range (at least one
-// job), returning the stolen range.
-func (s *jobRange) stealFrom() (lo, hi int, ok bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.hi - s.lo
-	if n <= 0 {
-		return 0, 0, false
-	}
-	take := n / 2
-	if take == 0 {
-		take = 1
-	}
-	lo, hi = s.hi-take, s.hi
-	s.hi = lo
-	return lo, hi, true
-}
-
-// Do runs fn(ctx, worker, job) for every job in [0, n) across the given
-// number of workers (normalised via Workers; capped at n) and returns the
-// error of the lowest-numbered job that failed, or nil. The worker id is
-// in [0, workers) and is stable for the goroutine invoking fn, so callers
-// can key per-worker scratch off it. When ctx is canceled, jobs that have
-// not started fail with ctx's error; jobs already running are the
-// callee's responsibility (simulator loops poll ctx themselves).
-func Do(ctx context.Context, n, workers int, fn func(ctx context.Context, worker, job int) error) error {
-	return doSteals(ctx, n, workers, func(ctx context.Context, worker, job, steals int) error {
-		return fn(ctx, worker, job)
-	})
-}
-
-// DoTraced is Do with per-job tracing: every job gets a child span of
-// parent, named by name(job), carrying the job index, the worker that ran
-// it and how many ranges that worker had stolen when the job started (a
-// direct read on how much rebalancing the batch needed). Failed jobs
-// record the error as a span attribute. A nil parent makes DoTraced
-// behave exactly like Do — the span calls no-op through nil receivers —
-// so callers plumb one optional *span.Span instead of branching.
-func DoTraced(ctx context.Context, n, workers int, parent *span.Span, name func(job int) string, fn func(ctx context.Context, worker, job int) error) error {
-	if parent == nil {
-		return Do(ctx, n, workers, fn)
-	}
-	return doSteals(ctx, n, workers, func(ctx context.Context, worker, job, steals int) error {
-		s := parent.StartChild(name(job),
-			span.Int("job", int64(job)),
-			span.Int("worker", int64(worker)),
-			span.Int("steals", int64(steals)))
-		err := fn(ctx, worker, job)
-		if err != nil {
-			s.SetAttrs(span.String("error", err.Error()))
-		}
-		s.End()
-		return err
-	})
-}
-
-// doSteals is the work-stealing engine behind Do and DoTraced. fn
-// additionally receives the number of steals its worker has performed so
-// far (always 0 on the single-worker path).
-func doSteals(ctx context.Context, n, workers int, fn func(ctx context.Context, worker, job, steals int) error) error {
+// Do runs fn(job) for every job in [0, n) on the given number of workers
+// (normalised via Workers; capped at n) and returns the error of the
+// lowest-numbered job that failed, or nil.
+//
+// With a non-nil parent, every job runs under a child span of parent
+// named name(job), carrying the job index and the worker, in
+// [0, workers), that ran it; a failed job records its error as a span
+// attribute. A nil parent records nothing, and name may then be nil.
+func Do(n, workers int, parent *span.Span, name func(int) string, fn func(job int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
+	workers = min(Workers(workers), n)
 	errs := make([]error, n)
-	if workers == 1 {
-		for j := 0; j < n; j++ {
-			if err := ctx.Err(); err != nil {
-				errs[j] = err
-				continue
-			}
-			errs[j] = fn(ctx, 0, j, 0)
-		}
-		return firstErr(errs)
-	}
-
-	spans := make([]*jobRange, workers)
-	for w := range spans {
-		spans[w] = &jobRange{lo: w * n / workers, hi: (w + 1) * n / workers}
-	}
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			own := spans[w]
-			steals := 0
-			for {
-				j, ok := own.pop()
-				if !ok {
-					// Steal the upper half of the richest victim. The
-					// size snapshots race with the victims working, but a
-					// stale pick only costs balance, never correctness.
-					best, bestN := -1, 0
-					for v, s := range spans {
-						if v == w {
-							continue
-						}
-						if sz := s.size(); sz > bestN {
-							best, bestN = v, sz
-						}
-					}
-					if best < 0 {
-						return
-					}
-					lo, hi, ok := spans[best].stealFrom()
-					if !ok {
-						continue // victim drained meanwhile; rescan
-					}
-					steals++
-					own.mu.Lock()
-					own.lo, own.hi = lo, hi
-					own.mu.Unlock()
+			for j := int(next.Add(1) - 1); j < n; j = int(next.Add(1) - 1) {
+				if parent == nil {
+					errs[j] = fn(j)
 					continue
 				}
-				if err := ctx.Err(); err != nil {
-					errs[j] = err
-					continue
+				s := parent.StartChild(name(j), span.Int("job", int64(j)), span.Int("worker", int64(w)))
+				if errs[j] = fn(j); errs[j] != nil {
+					s.SetAttrs(span.String("error", errs[j].Error()))
 				}
-				errs[j] = fn(ctx, w, j, steals)
+				s.End()
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
-	return firstErr(errs)
-}
-
-// firstErr returns the error of the lowest-numbered failed job.
-func firstErr(errs []error) error {
 	for _, err := range errs {
 		if err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// Pool is a fixed-size worker pool for fire-and-forget tasks whose
-// lifetime is managed elsewhere (the serve registry tracks runs itself;
-// the pool only bounds goroutine churn). Unlike Do there is no batch to
-// wait for: submit with Go, stop the workers with Close.
-type Pool struct {
-	tasks chan func(worker int)
-
-	mu     sync.Mutex
-	closed bool
-}
-
-// NewPool starts a pool with the given number of workers (normalised via
-// Workers). Each worker goroutine has a stable index in [0, workers),
-// handed to tasks submitted via GoWorker.
-func NewPool(workers int) *Pool {
-	p := &Pool{tasks: make(chan func(worker int), 4*Workers(workers))}
-	for i := 0; i < Workers(workers); i++ {
-		go func(worker int) {
-			for fn := range p.tasks {
-				fn(worker)
-			}
-		}(i)
-	}
-	return p
-}
-
-// Go submits fn. If every worker is busy and the queue is full — or the
-// pool is closed — fn runs on its own goroutine instead, so Go never
-// blocks and never drops work (the registry's own MaxRunning gate is the
-// real concurrency limit; the fallback just keeps Drain/shutdown safe).
-func (p *Pool) Go(fn func()) {
-	p.GoWorker(func(int) { fn() })
-}
-
-// GoWorker is Go for tasks that want to know which pool worker runs them
-// (the observatory stamps it on execute spans). Tasks spilled to a
-// fallback goroutine — queue full or pool closed — receive worker -1.
-func (p *Pool) GoWorker(fn func(worker int)) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed {
-		select {
-		case p.tasks <- fn:
-			return
-		default:
-		}
-	}
-	go fn(-1)
-}
-
-// Close stops the workers after the queued tasks finish. Tasks submitted
-// after Close still run (on fresh goroutines).
-func (p *Pool) Close() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.closed {
-		p.closed = true
-		close(p.tasks)
-	}
 }

@@ -1,10 +1,7 @@
 package sched
 
 import (
-	"context"
-	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"testing"
 )
@@ -14,10 +11,7 @@ func TestDoRunsEveryJobOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
 			const n = 257
 			var ran [n]int32
-			err := Do(context.Background(), n, workers, func(_ context.Context, w, j int) error {
-				if w < 0 || w >= workers {
-					t.Errorf("worker id %d out of range", w)
-				}
+			err := Do(n, workers, nil, nil, func(j int) error {
 				atomic.AddInt32(&ran[j], 1)
 				return nil
 			})
@@ -34,7 +28,7 @@ func TestDoRunsEveryJobOnce(t *testing.T) {
 }
 
 func TestDoZeroJobs(t *testing.T) {
-	if err := Do(context.Background(), 0, 4, func(context.Context, int, int) error {
+	if err := Do(0, 4, nil, nil, func(int) error {
 		t.Fatal("fn called for empty batch")
 		return nil
 	}); err != nil {
@@ -47,7 +41,7 @@ func TestDoZeroJobs(t *testing.T) {
 func TestDoDeterministicError(t *testing.T) {
 	errOf := func(j int) error { return fmt.Errorf("job %d failed", j) }
 	for trial := 0; trial < 20; trial++ {
-		err := Do(context.Background(), 64, 8, func(_ context.Context, _, j int) error {
+		err := Do(64, 8, nil, nil, func(j int) error {
 			if j%7 == 3 { // jobs 3, 10, 17, ...
 				return errOf(j)
 			}
@@ -59,30 +53,13 @@ func TestDoDeterministicError(t *testing.T) {
 	}
 }
 
-func TestDoContextCancel(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	var started int32
-	err := Do(ctx, 100, 2, func(ctx context.Context, _, j int) error {
-		if atomic.AddInt32(&started, 1) == 2 {
-			cancel()
-		}
-		return nil
-	})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if n := atomic.LoadInt32(&started); n >= 100 {
-		t.Fatalf("all %d jobs ran despite cancellation", n)
-	}
-}
-
 // TestDoStealing forces one worker's range to be slow so the others must
 // steal from it to finish the batch.
 func TestDoStealing(t *testing.T) {
 	const n, workers = 64, 4
 	var ran int32
 	gate := make(chan struct{})
-	err := Do(context.Background(), n, workers, func(_ context.Context, _, j int) error {
+	err := Do(n, workers, nil, nil, func(j int) error {
 		if j == 0 {
 			// Worker owning job 0 stalls until every other job finished:
 			// only stealing lets the rest of its initial range complete.
@@ -110,42 +87,13 @@ func TestWorkersNormalisation(t *testing.T) {
 	}
 }
 
-func TestPoolRunsTasks(t *testing.T) {
-	p := NewPool(2)
-	var wg sync.WaitGroup
-	var ran int32
-	for i := 0; i < 50; i++ {
-		wg.Add(1)
-		p.Go(func() {
-			defer wg.Done()
-			atomic.AddInt32(&ran, 1)
-		})
-	}
-	wg.Wait()
-	if ran != 50 {
-		t.Fatalf("ran %d of 50 tasks", ran)
-	}
-	p.Close()
-	// Tasks after Close still run (fallback goroutine).
-	wg.Add(1)
-	p.Go(func() {
-		defer wg.Done()
-		atomic.AddInt32(&ran, 1)
-	})
-	wg.Wait()
-	if ran != 51 {
-		t.Fatalf("post-Close task did not run")
-	}
-	p.Close() // double Close is a no-op
-}
-
 func BenchmarkDoOverhead(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var sink atomic.Int64
-				_ = Do(context.Background(), 64, workers, func(_ context.Context, _, j int) error {
+				_ = Do(64, workers, nil, nil, func(j int) error {
 					sink.Add(int64(j))
 					return nil
 				})

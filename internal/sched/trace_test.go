@@ -1,12 +1,10 @@
 package sched
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"testing"
-	"time"
 
 	"cppcache/internal/span"
 )
@@ -15,9 +13,9 @@ func TestDoTracedSpansPerJob(t *testing.T) {
 	tr := span.New(0)
 	root := tr.Start("batch", nil)
 	const n = 40
-	err := DoTraced(context.Background(), n, 4, root,
+	err := Do(n, 4, root,
 		func(job int) string { return fmt.Sprintf("job-%d", job) },
-		func(_ context.Context, worker, job int) error {
+		func(job int) error {
 			if job == 7 {
 				return errors.New("boom")
 			}
@@ -52,9 +50,6 @@ func TestDoTracedSpansPerJob(t *testing.T) {
 		if w := attrs["worker"].Int; w < 0 || w >= 4 {
 			t.Errorf("job %d worker attr %d out of range", j, w)
 		}
-		if attrs["steals"].Int < 0 {
-			t.Errorf("job %d negative steals", j)
-		}
 		if d.End.IsZero() {
 			t.Errorf("job %d span left open", j)
 		}
@@ -73,8 +68,8 @@ func TestDoTracedNilParentIsPlainDo(t *testing.T) {
 	const n = 16
 	ran := make([]int, n)
 	var mu sync.Mutex
-	err := DoTraced(context.Background(), n, 3, nil, nil,
-		func(_ context.Context, _, job int) error {
+	err := Do(n, 3, nil, nil,
+		func(job int) error {
 			mu.Lock()
 			ran[job]++
 			mu.Unlock()
@@ -87,43 +82,5 @@ func TestDoTracedNilParentIsPlainDo(t *testing.T) {
 		if c != 1 {
 			t.Fatalf("job %d ran %d times", j, c)
 		}
-	}
-}
-
-func TestGoWorkerIndices(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	got := make(chan int, 8)
-	for i := 0; i < 8; i++ {
-		p.GoWorker(func(w int) {
-			got <- w
-			time.Sleep(time.Millisecond)
-		})
-	}
-	for i := 0; i < 8; i++ {
-		select {
-		case w := <-got:
-			// Pool workers report [0, 3); queue-full spills report -1.
-			if w != -1 && (w < 0 || w >= 3) {
-				t.Fatalf("worker index %d out of range", w)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("task never ran")
-		}
-	}
-}
-
-func TestGoWorkerAfterCloseIsFallback(t *testing.T) {
-	p := NewPool(2)
-	p.Close()
-	got := make(chan int, 1)
-	p.GoWorker(func(w int) { got <- w })
-	select {
-	case w := <-got:
-		if w != -1 {
-			t.Fatalf("post-close worker index = %d, want -1", w)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("post-close task never ran")
 	}
 }

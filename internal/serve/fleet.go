@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"cppcache/internal/ledger"
+	"cppcache/internal/obs"
 )
 
 // recordLocked builds the ledger record of a run that has just reached a
@@ -253,8 +254,8 @@ func (s *Server) handleFleetDim(w http.ResponseWriter, r *http.Request) {
 func writeFleetMetrics(w *strings.Builder, agg *ledger.Aggregate) {
 	label := func(g *ledger.Group) string {
 		return fmt.Sprintf(`workload="%s",config="%s",compressor="%s",state="%s"`,
-			escapeLabel(g.Workload), escapeLabel(g.Config),
-			escapeLabel(g.Compressor), escapeLabel(g.State))
+			obs.EscapeLabel(g.Workload), obs.EscapeLabel(g.Config),
+			obs.EscapeLabel(g.Compressor), obs.EscapeLabel(g.State))
 	}
 	fmt.Fprintf(w, "# HELP cppserved_fleet_runs_total Terminal runs recorded in the fleet ledger rollup.\n# TYPE cppserved_fleet_runs_total counter\n")
 	for _, g := range agg.Groups {
@@ -286,9 +287,9 @@ func writeFleetMetrics(w *strings.Builder, agg *ledger.Aggregate) {
 		sort.Strings(stages)
 		for _, st := range stages {
 			fmt.Fprintf(w, "cppserved_fleet_stage_seconds_sum{%s,stage=\"%s\"} %v\n",
-				label(g), escapeLabel(st), g.Stages[st].SumSeconds)
+				label(g), obs.EscapeLabel(st), g.Stages[st].SumSeconds)
 			fmt.Fprintf(w, "cppserved_fleet_stage_seconds_count{%s,stage=\"%s\"} %d\n",
-				label(g), escapeLabel(st), g.Stages[st].Count)
+				label(g), obs.EscapeLabel(st), g.Stages[st].Count)
 		}
 	}
 }

@@ -56,13 +56,6 @@ var promFamilies = []promFamily{
 		func(t obs.Snapshot) float64 { return float64(t.PagesTouched) }},
 }
 
-// escapeLabel escapes a Prometheus label value per the text exposition
-// format: backslash, double quote and newline.
-func escapeLabel(v string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)
-	return r.Replace(v)
-}
-
 // writeBuildInfo renders the cppserved_build_info gauge: a constant-1
 // series whose labels make every scrape self-describing (which Go
 // toolchain, how many workers the box offers, where the ledger lives),
@@ -70,8 +63,8 @@ func escapeLabel(v string) string {
 func writeBuildInfo(w *strings.Builder, ledgerPath string) {
 	fmt.Fprintf(w, "# HELP cppserved_build_info Build and host facts as labels; value is always 1.\n# TYPE cppserved_build_info gauge\n")
 	fmt.Fprintf(w, "cppserved_build_info{go_version=\"%s\",gomaxprocs=\"%d\",num_cpu=\"%d\",ledger=\"%s\"} 1\n",
-		escapeLabel(runtime.Version()), runtime.GOMAXPROCS(0), runtime.NumCPU(),
-		escapeLabel(ledgerPath))
+		obs.EscapeLabel(runtime.Version()), runtime.GOMAXPROCS(0), runtime.NumCPU(),
+		obs.EscapeLabel(ledgerPath))
 }
 
 // writeMetrics renders the registry in Prometheus text exposition format
@@ -93,8 +86,8 @@ func writeMetrics(w *strings.Builder, runs []*Run, c Counters) {
 		intervals = append(intervals, st.Intervals)
 		samples = append(samples, sample{
 			labels: fmt.Sprintf(`run="%d",workload=%q,config=%q,compressor=%q`,
-				r.ID, escapeLabel(r.Spec.Workload), escapeLabel(r.Spec.Config),
-				escapeLabel(r.Spec.Compressor)),
+				r.ID, obs.EscapeLabel(r.Spec.Workload), obs.EscapeLabel(r.Spec.Config),
+				obs.EscapeLabel(r.Spec.Compressor)),
 			totals: st.Totals,
 		})
 	}

@@ -7,6 +7,7 @@ import (
 	"io"
 	"log/slog"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -15,7 +16,6 @@ import (
 	"cppcache/internal/chaos"
 	"cppcache/internal/ledger"
 	"cppcache/internal/obs"
-	"cppcache/internal/sched"
 	"cppcache/internal/span"
 )
 
@@ -104,7 +104,7 @@ func specErrorf(field, format string, args ...any) *SpecError {
 // Admission-control sentinels, mapped to backpressure status codes by the
 // HTTP layer.
 var (
-	// ErrQueueFull: the worker pool and the wait queue are both at
+	// ErrQueueFull: the worker slots and the wait queue are all at
 	// capacity (HTTP 429).
 	ErrQueueFull = errors.New("run queue full; retry later")
 	// ErrDraining: the registry is shutting down (HTTP 503).
@@ -191,7 +191,7 @@ type RunStatus struct {
 // Config sizes the registry's admission control and retention.
 type Config struct {
 	// MaxRunning bounds concurrently executing simulations (the worker
-	// pool). 0 = DefaultMaxRunning.
+	// slots). 0 = DefaultMaxRunning.
 	MaxRunning int
 	// MaxQueue bounds runs waiting for a worker slot. 0 = DefaultMaxQueue.
 	MaxQueue int
@@ -211,8 +211,6 @@ type Config struct {
 	// MemoEntries bounds the spec-hash memo store (LRU). 0 disables
 	// memoization entirely: every admitted run executes.
 	MemoEntries int
-	// SweepRetain bounds retained terminal sweeps. 0 = DefaultSweepRetain.
-	SweepRetain int
 }
 
 // Admission-control and retention defaults.
@@ -263,13 +261,12 @@ type Counters struct {
 }
 
 // Registry launches and tracks simulation jobs under supervision: a
-// bounded worker pool with a FIFO wait queue, per-run deadlines and
+// bounded set of worker slots with a FIFO wait queue, per-run deadlines and
 // cancellation, panic isolation, bounded snapshot retention and eviction
 // of old terminal runs.
 type Registry struct {
-	cfg  Config
-	log  *slog.Logger
-	pool *sched.Pool // reusable workers for run execution, sized MaxRunning
+	cfg Config
+	log *slog.Logger
 
 	// stages aggregates span durations per stage across every run, the
 	// source of the cppserved_stage_seconds histogram family.
@@ -287,8 +284,9 @@ type Registry struct {
 	mu       sync.Mutex
 	runs     map[int]*Run
 	order    []int
-	queue    []int // ids of queued runs, FIFO
-	running  int
+	queue    []int  // ids of queued runs, FIFO
+	running  int    // busy worker slots
+	busy     []bool // busy[i]: worker slot i executes a run; len MaxRunning
 	next     int
 	closed   bool
 	notReady bool // true until boot replay completes (SetReady)
@@ -318,8 +316,8 @@ func NewRegistryWith(cfg Config, log *slog.Logger) *Registry {
 	g := &Registry{
 		cfg:   cfg,
 		log:   log,
-		pool:  sched.NewPool(cfg.MaxRunning),
 		runs:  make(map[int]*Run),
+		busy:  make([]bool, cfg.MaxRunning),
 		next:  1,
 		fleet: ledger.NewRollup(),
 	}
@@ -568,8 +566,10 @@ func (g *Registry) newMemoRunLocked(spec RunSpec, e *memoEntry) (*Run, ledger.Re
 	return run, rec
 }
 
-// startLocked dispatches a queued run onto its own goroutine. Callers hold
-// g.mu. It reports false if the run was no longer dispatchable (canceled
+// startLocked dispatches a queued run onto its own goroutine in the
+// lowest free worker slot, whose index the execute span carries as its
+// worker attribute. Callers hold g.mu and have checked that a slot is
+// free. It reports false if the run was no longer dispatchable (canceled
 // while queued).
 func (g *Registry) startLocked(run *Run) bool {
 	run.mu.Lock()
@@ -582,6 +582,7 @@ func (g *Registry) startLocked(run *Run) bool {
 		ctx, cancel = context.WithTimeout(context.Background(),
 			time.Duration(run.Spec.TimeoutSec*float64(time.Second)))
 	}
+	slot := slices.Index(g.busy, false)
 	started := time.Now()
 	run.state = StateRunning
 	run.started = started
@@ -589,10 +590,11 @@ func (g *Registry) startLocked(run *Run) bool {
 	// The queue span closes and the execute span opens at the same
 	// started instant the status JSON reports.
 	run.queueSp.EndAt(started)
-	run.execSp = run.root.StartChildAt("execute", started)
+	run.execSp = run.root.StartChildAt("execute", started, span.Int("worker", int64(slot)))
 	run.notifyLocked()
 	run.mu.Unlock()
 
+	g.busy[slot] = true
 	g.running++
 	g.pending.Add(1)
 	g.log.Info("run launched", "run_id", run.ID, "trace_id", run.TraceID(),
@@ -601,10 +603,7 @@ func (g *Registry) startLocked(run *Run) bool {
 		"functional", run.Spec.Functional,
 		"interval", run.Spec.Interval, "attr", run.Spec.Attr,
 		"timeout_sec", run.Spec.TimeoutSec, "chaos", run.Spec.Chaos != nil)
-	g.pool.GoWorker(func(worker int) {
-		run.execSp.SetAttrs(span.Int("worker", int64(worker)))
-		g.execute(run, ctx, cancel)
-	})
+	go g.execute(run, slot, ctx, cancel)
 	return true
 }
 
@@ -612,7 +611,7 @@ func (g *Registry) startLocked(run *Run) bool {
 // goroutine: a panic anywhere below (simulator bugs, injected chaos) is
 // recovered into StateFailed with the captured stack, never a process
 // crash.
-func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelFunc) {
+func (g *Registry) execute(run *Run, slot int, ctx context.Context, cancel context.CancelFunc) {
 	start := time.Now()
 	defer g.pending.Done()
 	defer cancel()
@@ -629,7 +628,7 @@ func (g *Registry) execute(run *Run, ctx context.Context, cancel context.CancelF
 		}
 		// Every execute path (done, failed, canceled, panicked) is terminal
 		// and ledgered here: release the worker slot.
-		g.onFinished()
+		g.onFinished(slot)
 	}()
 
 	spec := run.Spec
@@ -730,8 +729,9 @@ func (g *Registry) cancelQueued(run *Run, cause string) bool {
 
 // onFinished releases the worker slot, dispatches queued work and applies
 // the retention policy.
-func (g *Registry) onFinished() {
+func (g *Registry) onFinished(slot int) {
 	g.mu.Lock()
+	g.busy[slot] = false
 	g.running--
 	g.scheduleLocked()
 	g.evictLocked()
@@ -890,9 +890,6 @@ func (g *Registry) Drain(timeout time.Duration) bool {
 	// the (now closed) admission path and fan cancellation out to in-flight
 	// child runs.
 	g.sweeps.drain()
-	// No further dispatches will be accepted; let the pool workers exit
-	// once the already-submitted executions finish.
-	g.pool.Close()
 	for _, id := range queued {
 		if run, ok := g.Get(id); ok && g.cancelQueued(run, "server draining") {
 			g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(),

@@ -36,6 +36,12 @@
 // ring has dropped a stream's requested prefix, the stream says so with an
 // explicit "gap" event rather than silently resuming.
 //
+// A run executes on its own goroutine in one of MaxRunning worker slots,
+// whose index its execute span carries; a sweep fans its children out
+// through sched.Do. The cppserved_stage_seconds family on /metrics holds
+// one obs.Histogram of span nanoseconds per stage: power-of-two buckets
+// sharing one le set per scrape, and an exact _sum.
+//
 // Failure mapping: invalid specs are HTTP 400 with a structured body
 // naming the field, a full admission queue is 429 with Retry-After, and a
 // draining registry is 503 with Retry-After.

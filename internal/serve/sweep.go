@@ -13,6 +13,7 @@ import (
 
 	"cppcache"
 	"cppcache/internal/ledger"
+	"cppcache/internal/sched"
 )
 
 // SweepSpec is the POST /sweeps body: a cross-product of run parameters
@@ -34,8 +35,7 @@ type SweepSpec struct {
 // products are a structured 400, never a half-admitted batch.
 const MaxSweepProduct = 512
 
-// DefaultSweepRetain bounds retained terminal sweeps when
-// Config.SweepRetain is 0.
+// DefaultSweepRetain bounds retained terminal sweeps.
 const DefaultSweepRetain = 32
 
 // Sweep lifecycle states. A sweep is running from admission until every
@@ -249,10 +249,6 @@ func (ss *sweepSet) all() []*Sweep {
 // register admits a sweep and applies retention (oldest terminal sweeps
 // beyond the bound are forgotten).
 func (ss *sweepSet) register(sw *Sweep) error {
-	retain := ss.g.cfg.SweepRetain
-	if retain <= 0 {
-		retain = DefaultSweepRetain
-	}
 	ss.mu.Lock()
 	defer ss.mu.Unlock()
 	if ss.closed {
@@ -268,10 +264,10 @@ func (ss *sweepSet) register(sw *Sweep) error {
 			terminal++
 		}
 	}
-	if terminal > retain {
+	if terminal > DefaultSweepRetain {
 		keep := ss.order[:0]
 		for _, id := range ss.order {
-			if terminal > retain && ss.sweeps[id].terminal() {
+			if terminal > DefaultSweepRetain && ss.sweeps[id].terminal() {
 				terminal--
 				delete(ss.sweeps, id)
 				continue
@@ -426,18 +422,10 @@ func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 // sweep: done when all children ended, degraded if any failed or were
 // canceled, canceled when cancellation was requested before completion.
 func (g *Registry) runSweep(sw *Sweep, ctx context.Context) {
-	sem := make(chan struct{}, g.cfg.MaxRunning)
-	var wg sync.WaitGroup
-	for i := range sw.children {
-		wg.Add(1)
-		go func(ch *sweepChild, idx int) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			g.runSweepChild(ctx, sw, ch, idx)
-		}(sw.children[i], i)
-	}
-	wg.Wait()
+	sched.Do(len(sw.children), g.cfg.MaxRunning, nil, nil, func(i int) error {
+		g.runSweepChild(ctx, sw, sw.children[i], i)
+		return nil
+	})
 
 	sw.mu.Lock()
 	canceled := ctx.Err() != nil

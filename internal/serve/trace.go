@@ -1,56 +1,40 @@
 package serve
 
 import (
-	"fmt"
-	"sort"
+	"io"
+	"slices"
 	"strings"
 	"sync"
+	"time"
 
+	"cppcache/internal/obs"
 	"cppcache/internal/span"
 )
 
-// stageBuckets are the cppserved_stage_seconds histogram bounds, in
-// seconds. Simulation stages on default scales land in the
-// millisecond-to-second range; the top bucket catches stalled or
-// deadline-bound runs.
-var stageBuckets = []float64{0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1, 5, 30}
-
-// stageHist is one stage's cumulative histogram.
-type stageHist struct {
-	counts []int64 // one per stageBuckets entry
-	sum    float64
-	count  int64
-}
-
 // stageSet aggregates span durations per stage name, fed from the span
 // tracer's OnEnd hook and rendered on /metrics as the
-// cppserved_stage_seconds histogram family. Stage names come from the
-// fixed instrumentation vocabulary (run, admission, queue, execute,
+// cppserved_stage_seconds histogram family: one obs.Histogram of
+// nanoseconds per stage, so _sum is the exact total. Stage names come from
+// the fixed instrumentation vocabulary (run, admission, queue, execute,
 // workload.build, sim.*, sse.stream), so cardinality is bounded by
 // construction.
 type stageSet struct {
 	mu    sync.Mutex
-	hists map[string]*stageHist
+	hists map[string]*obs.Histogram
 }
 
 // observe records one completed span. Matches span.Tracer.SetOnEnd.
-func (s *stageSet) observe(stage string, seconds float64) {
+func (s *stageSet) observe(stage string, d time.Duration) {
 	s.mu.Lock()
 	if s.hists == nil {
-		s.hists = map[string]*stageHist{}
+		s.hists = map[string]*obs.Histogram{}
 	}
 	h := s.hists[stage]
 	if h == nil {
-		h = &stageHist{counts: make([]int64, len(stageBuckets))}
+		h = obs.NewHistogram(stage)
 		s.hists[stage] = h
 	}
-	for i, ub := range stageBuckets {
-		if seconds <= ub {
-			h.counts[i]++
-		}
-	}
-	h.sum += seconds
-	h.count++
+	h.Observe(d.Nanoseconds())
 	s.mu.Unlock()
 }
 
@@ -61,33 +45,23 @@ func (s *stageSet) SpanSeconds(stage string) (sum float64, count int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if h := s.hists[stage]; h != nil {
-		return h.sum, h.count
+		return float64(h.Sum) / 1e9, h.Count
 	}
 	return 0, 0
 }
 
-// writeProm renders the family in Prometheus text exposition 0.0.4, with
-// cumulative le buckets, stages in sorted order for deterministic output.
-func (s *stageSet) writeProm(w *strings.Builder) {
+// writeProm renders the family, stages in sorted order for deterministic
+// output.
+func (s *stageSet) writeProm(w io.Writer) {
 	s.mu.Lock()
-	names := make([]string, 0, len(s.hists))
-	for name := range s.hists {
-		names = append(names, name)
+	defer s.mu.Unlock()
+	hists := make([]*obs.Histogram, 0, len(s.hists))
+	for _, h := range s.hists {
+		hists = append(hists, h)
 	}
-	sort.Strings(names)
-	fmt.Fprintf(w, "# HELP cppserved_stage_seconds Wall-clock seconds per run-lifecycle stage, from the span tracer.\n")
-	fmt.Fprintf(w, "# TYPE cppserved_stage_seconds histogram\n")
-	for _, name := range names {
-		h := s.hists[name]
-		stage := escapeLabel(name)
-		for i, ub := range stageBuckets {
-			fmt.Fprintf(w, "cppserved_stage_seconds_bucket{stage=\"%s\",le=\"%g\"} %d\n", stage, ub, h.counts[i])
-		}
-		fmt.Fprintf(w, "cppserved_stage_seconds_bucket{stage=\"%s\",le=\"+Inf\"} %d\n", stage, h.count)
-		fmt.Fprintf(w, "cppserved_stage_seconds_sum{stage=\"%s\"} %v\n", stage, h.sum)
-		fmt.Fprintf(w, "cppserved_stage_seconds_count{stage=\"%s\"} %d\n", stage, h.count)
-	}
-	s.mu.Unlock()
+	slices.SortFunc(hists, func(a, b *obs.Histogram) int { return strings.Compare(a.Name, b.Name) })
+	obs.WritePrometheus(w, "cppserved_stage_seconds",
+		"Wall-clock seconds per run-lifecycle stage, from the span tracer.", "stage", 1e9, hists)
 }
 
 // StageSeconds exposes the registry's per-stage totals (see

@@ -104,7 +104,7 @@ func TestTraceConservation(t *testing.T) {
 		t.Errorf("queue %v + execute %v != run %v", q, e, r)
 	}
 
-	// The execute span carries the pool worker index.
+	// The execute span carries the worker slot index.
 	var worker *span.Attr
 	for i, a := range byName["execute"].Attrs {
 		if a.Key == "worker" {

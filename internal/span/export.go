@@ -94,83 +94,89 @@ func (t *Tracer) Tree() []byte {
 	return mustEncode(tr, "  ")
 }
 
-// chromeEvent is one trace_event entry. Field order is fixed by the
-// struct, keeping the output byte-stable for golden tests (the same
-// convention as internal/obs's Chrome writer).
-type chromeEvent struct {
-	Name string         `json:"name"`
-	Ph   string         `json:"ph"`
-	TS   int64          `json:"ts"`
-	Dur  int64          `json:"dur,omitempty"`
-	PID  int            `json:"pid"`
-	TID  int            `json:"tid"`
-	ID   string         `json:"id,omitempty"`
-	Args map[string]any `json:"args,omitempty"`
+// ChromeEvent is one Chrome trace_event entry
+// (https://docs.google.com/document/d/1CvAClvFfyA5R-PhYUmn5OOQtYMH4h6I0nSsKchNAySU).
+// Field order is fixed by the struct and Args renders with sorted keys,
+// keeping the output byte-stable for golden tests. Spans, span events and
+// internal/obs's flight-recorder instants all render through it.
+type ChromeEvent struct {
+	Name  string         `json:"name"`
+	Ph    string         `json:"ph"`
+	TS    int64          `json:"ts"`
+	Dur   int64          `json:"dur,omitempty"`
+	PID   int            `json:"pid"`
+	TID   int            `json:"tid"`
+	Scope string         `json:"s,omitempty"`
+	ID    string         `json:"id,omitempty"`
+	Args  map[string]any `json:"args,omitempty"`
 }
 
 // chromeTrace is the trace_event envelope.
 type chromeTrace struct {
-	TraceEvents     []chromeEvent `json:"traceEvents"`
+	TraceEvents     []ChromeEvent `json:"traceEvents"`
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 	Dropped         int64         `json:"droppedEventCount"`
-	TraceID         string        `json:"traceId"`
+	TraceID         string        `json:"traceId,omitempty"`
 }
 
-// Chrome renders the trace in Chrome trace_event JSON, loadable in
-// chrome://tracing or Perfetto. Closed spans become complete events
-// ("ph":"X", microsecond timestamps relative to the earliest span); open
-// spans become begin events ("ph":"B"); span events become instants.
-// Root spans map to tid 1, each nesting level one thread lane deeper, so
-// the run lifecycle reads as a flame chart.
-func (t *Tracer) Chrome() []byte {
-	tr := chromeTrace{TraceEvents: []chromeEvent{}, DisplayTimeUnit: "ms", TraceID: t.TraceID()}
-	if t != nil {
-		t.mu.Lock()
-		tr.Dropped = t.dropped
-		var epoch time.Time
-		for _, s := range t.spans {
-			if epoch.IsZero() || s.start.Before(epoch) {
-				epoch = s.start
-			}
-		}
-		depth := make(map[ID]int, len(t.spans))
-		for _, s := range t.spans { // spans slice is in open order: parents precede children
-			depth[s.id] = 1
-			if d, ok := depth[s.parent]; ok && s.parent != 0 {
-				depth[s.id] = d + 1
-			}
-		}
-		us := func(at time.Time) int64 { return at.Sub(epoch).Microseconds() }
-		for _, s := range t.spans {
-			ev := chromeEvent{
-				Name: s.name,
-				Ph:   "X",
-				TS:   us(s.start),
-				PID:  0,
-				TID:  depth[s.id],
-				ID:   s.id.String(),
-				Args: attrMap(s.attrs),
-			}
-			if s.end.IsZero() {
-				ev.Ph = "B"
-			} else {
-				ev.Dur = s.end.Sub(s.start).Microseconds()
-			}
-			tr.TraceEvents = append(tr.TraceEvents, ev)
-			for _, e := range s.events {
-				args := attrMap(e.Attrs)
-				if args == nil {
-					args = map[string]any{}
-				}
-				args["span"] = s.name
-				tr.TraceEvents = append(tr.TraceEvents, chromeEvent{
-					Name: e.Name, Ph: "i", TS: us(e.Time), PID: 0, TID: depth[s.id], Args: args,
-				})
-			}
-		}
-		t.mu.Unlock()
+// EncodeChrome renders events as one Chrome trace_event JSON document,
+// loadable in chrome://tracing or Perfetto. dropped is the producer's
+// count of events lost to its bounds; an empty traceID is omitted.
+func EncodeChrome(events []ChromeEvent, dropped int64, traceID string) []byte {
+	if events == nil {
+		events = []ChromeEvent{}
 	}
-	return mustEncode(tr, " ")
+	return mustEncode(chromeTrace{
+		TraceEvents: events, DisplayTimeUnit: "ms", Dropped: dropped, TraceID: traceID,
+	}, " ")
+}
+
+// Chrome renders the trace in Chrome trace_event JSON. Closed spans become
+// complete events ("ph":"X", microsecond timestamps relative to the
+// earliest span); open spans become begin events ("ph":"B"); span events
+// become instants. Root spans map to tid 1, each nesting level one thread
+// lane deeper, so the run lifecycle reads as a flame chart.
+func (t *Tracer) Chrome() []byte {
+	if t == nil {
+		return EncodeChrome(nil, 0, "")
+	}
+	t.mu.Lock()
+	var epoch time.Time
+	for _, s := range t.spans {
+		if epoch.IsZero() || s.start.Before(epoch) {
+			epoch = s.start
+		}
+	}
+	depth := make(map[ID]int, len(t.spans))
+	for _, s := range t.spans { // spans slice is in open order: parents precede children
+		depth[s.id] = 1
+		if d, ok := depth[s.parent]; ok && s.parent != 0 {
+			depth[s.id] = d + 1
+		}
+	}
+	us := func(at time.Time) int64 { return at.Sub(epoch).Microseconds() }
+	var evs []ChromeEvent
+	for _, s := range t.spans {
+		ev := ChromeEvent{Name: s.name, Ph: "X", TS: us(s.start), TID: depth[s.id],
+			ID: s.id.String(), Args: attrMap(s.attrs)}
+		if s.end.IsZero() {
+			ev.Ph = "B"
+		} else {
+			ev.Dur = s.end.Sub(s.start).Microseconds()
+		}
+		evs = append(evs, ev)
+		for _, e := range s.events {
+			args := attrMap(e.Attrs)
+			if args == nil {
+				args = map[string]any{}
+			}
+			args["span"] = s.name
+			evs = append(evs, ChromeEvent{Name: e.Name, Ph: "i", TS: us(e.Time), TID: depth[s.id], Args: args})
+		}
+	}
+	dropped := t.dropped
+	t.mu.Unlock()
+	return EncodeChrome(evs, dropped, t.traceID)
 }
 
 // otlpValue is the OTLP AnyValue encoding of one attribute value.

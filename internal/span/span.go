@@ -18,11 +18,11 @@
 // site can never grow memory without limit.
 //
 // Two exporters ship with the tracer (export.go): the Chrome trace_event
-// format (loadable in chrome://tracing or Perfetto, matching the writer
-// conventions of internal/obs's golden-tested event trace) and a
-// newline-delimited OTLP-style JSON for offline tooling. Tree renders the
-// parent-child structure as indented JSON for the observatory's
-// GET /runs/{id}/trace endpoint.
+// format (loadable in chrome://tracing or Perfetto; its encoder,
+// EncodeChrome, is the repo's only one, and internal/obs's flight
+// recorder renders through it too) and a newline-delimited OTLP-style
+// JSON for offline tooling. Tree renders the parent-child structure as
+// indented JSON for the observatory's GET /runs/{id}/trace endpoint.
 package span
 
 import (
@@ -109,9 +109,9 @@ type Tracer struct {
 	maxSpans int
 	dropped  int64
 
-	// onEnd, when set, observes every span end (name, duration seconds).
+	// onEnd, when set, observes every span end (name, exact duration).
 	// The observatory feeds its per-stage Prometheus histograms from it.
-	onEnd func(name string, seconds float64)
+	onEnd func(name string, d time.Duration)
 }
 
 // New builds a tracer with a random 128-bit trace ID. maxSpans <= 0 means
@@ -149,7 +149,7 @@ func (t *Tracer) TraceID() string {
 }
 
 // SetOnEnd installs the span-end observer. Pass nil to remove it.
-func (t *Tracer) SetOnEnd(fn func(name string, seconds float64)) {
+func (t *Tracer) SetOnEnd(fn func(name string, d time.Duration)) {
 	if t == nil {
 		return
 	}
@@ -263,7 +263,7 @@ func (s *Span) EndAt(at time.Time) {
 	name, dur := s.name, at.Sub(s.start)
 	t.mu.Unlock()
 	if onEnd != nil {
-		onEnd(name, dur.Seconds())
+		onEnd(name, dur)
 	}
 }
 

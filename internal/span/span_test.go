@@ -3,10 +3,15 @@ package span
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 )
+
+var update = flag.Bool("update", false, "rewrite golden files")
 
 // fixed instants so exporter output is byte-stable.
 var (
@@ -55,7 +60,7 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	if s.Tracer() != nil {
 		t.Fatalf("nil span Tracer non-nil")
 	}
-	tr.SetOnEnd(func(string, float64) { t.Fatal("hook fired on nil tracer") })
+	tr.SetOnEnd(func(string, time.Duration) { t.Fatal("hook fired on nil tracer") })
 	if tr.Dropped() != 0 || tr.Len() != 0 {
 		t.Fatalf("nil tracer counters non-zero")
 	}
@@ -115,16 +120,16 @@ func TestSnapshotStructureAndNesting(t *testing.T) {
 func TestOnEndHook(t *testing.T) {
 	tr := New(0)
 	var names []string
-	var secs []float64
-	tr.SetOnEnd(func(name string, s float64) { names = append(names, name); secs = append(secs, s) })
+	var durs []time.Duration
+	tr.SetOnEnd(func(name string, d time.Duration) { names = append(names, name); durs = append(durs, d) })
 	s := tr.StartAt("stage", nil, t0)
 	s.EndAt(t1)
 	s.EndAt(t2) // idempotent: second End must not re-fire
 	if len(names) != 1 || names[0] != "stage" {
 		t.Fatalf("hook names = %v", names)
 	}
-	if want := t1.Sub(t0).Seconds(); secs[0] != want {
-		t.Fatalf("hook seconds = %v, want %v", secs[0], want)
+	if want := t1.Sub(t0); durs[0] != want {
+		t.Fatalf("hook duration = %v, want %v", durs[0], want)
 	}
 	tr.SetOnEnd(nil)
 	tr.StartAt("quiet", nil, t0).EndAt(t1)
@@ -217,11 +222,30 @@ func TestTreeExportStable(t *testing.T) {
 	}
 }
 
+// TestChromeExportStable pins the exact Chrome trace_event bytes of the
+// fixed trace (run with -update to rewrite the golden) and checks the
+// span-to-event mapping.
 func TestChromeExportStable(t *testing.T) {
 	tr := buildFixedTrace(t)
 	got := tr.Chrome()
 	if !bytes.Equal(got, tr.Chrome()) {
 		t.Fatalf("Chrome export not deterministic")
+	}
+	goldenPath := filepath.Join("testdata", "chrome.golden.json")
+	if *update {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("read golden (run with -update to create): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("Chrome export differs from golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 	var out struct {
 		TraceEvents []struct {
