@@ -1,7 +1,7 @@
 package cppcache
 
 // Benchmarks for the simulator-throughput work: the shared trace
-// pre-decode (struct-of-arrays replay vs generic stream iteration) and
+// pre-decode (building it and scanning its struct-of-arrays columns) and
 // the run scheduler's scaling. cmd/cppbench -benchjson
 // emits the same measurements machine-readably (predecode and parallel
 // sections of BENCH_simperf.json).
@@ -37,35 +37,8 @@ func BenchmarkTraceDecode(b *testing.B) {
 	b.ReportMetric(float64(len(insts)), "insts")
 }
 
-// BenchmarkReplayStream iterates the generic isa.Stream path the
-// simulator fetched from before the pre-decode fast path existed.
-func BenchmarkReplayStream(b *testing.B) {
-	b.ReportAllocs()
-	p, err := workload.BuildShared("olden.health", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var sink uint64
-	for i := 0; i < b.N; i++ {
-		st := p.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
-			sink += uint64(in.Addr) + uint64(in.Op)
-		}
-	}
-	if sink == 0 {
-		b.Fatal("degenerate trace")
-	}
-	b.ReportMetric(float64(p.Len()), "insts/op")
-}
-
 // BenchmarkReplayPredecoded scans the shared struct-of-arrays columns the
-// CPU's fast path fetches from, over the same trace as
-// BenchmarkReplayStream.
+// core fetches from.
 func BenchmarkReplayPredecoded(b *testing.B) {
 	b.ReportAllocs()
 	p, err := workload.BuildShared("olden.health", 1)

@@ -13,8 +13,8 @@
 // It is also the simulator-performance harness: -benchjson runs every
 // cache configuration over one benchmark and writes machine-readable
 // throughput numbers (BENCH_simperf.json in this repo records a run),
-// including a predecode section (trace pre-decode cost and replay-path
-// speedup) and a parallel section (scheduler scaling probe), and
+// including a predecode section (trace pre-decode cost and replay scan
+// rate) and a parallel section (scheduler scaling probe), and
 // -cpuprofile/-memprofile capture pprof profiles of whatever work the
 // invocation does.
 package main
@@ -49,15 +49,13 @@ type perfEntry struct {
 }
 
 // predecodeReport measures the shared trace pre-decode: how much building
-// the struct-of-arrays representation costs, what it weighs, and how much
-// faster replaying it is than iterating the generic instruction stream.
+// the struct-of-arrays representation costs, what it weighs, and how fast
+// a replay loop scans it.
 type predecodeReport struct {
 	Insts            int     `json:"insts"`
 	BytesPerInst     float64 `json:"bytes_per_inst"`
 	DecodeWallNS     int64   `json:"decode_wall_ns"`
-	StreamNSPerInst  float64 `json:"stream_ns_per_inst"`
 	DecodedNSPerInst float64 `json:"decoded_ns_per_inst"`
-	ReplaySpeedup    float64 `json:"replay_speedup"`
 }
 
 // parallelEntry is one worker-count row of the scheduler scaling probe: a
@@ -130,18 +128,15 @@ func compareAgainst(rep perfReport, baselinePath string, tolerance float64) erro
 	return nil
 }
 
-// measurePredecode times the trace pre-decode itself and the two replay
-// paths it distinguishes: the generic isa.Stream iteration the simulator
-// used to fetch from, and the struct-of-arrays scan the pre-decoded fast
-// path fetches from now.
+// measurePredecode times the trace pre-decode itself and a scan of the
+// struct-of-arrays buffers the simulator fetches from.
 func measurePredecode(bench string, scale int) (*predecodeReport, error) {
 	wp, err := workload.BuildShared(bench, scale)
 	if err != nil {
 		return nil, err
 	}
-	insts := wp.Insts()
 	start := time.Now()
-	d := trace.NewDecoded(insts)
+	d := trace.NewDecoded(wp.Insts())
 	decodeWall := time.Since(start)
 	n := d.Len()
 	if n == 0 {
@@ -149,18 +144,6 @@ func measurePredecode(bench string, scale int) (*predecodeReport, error) {
 	}
 	const iters = 20
 	var sink uint64
-	start = time.Now()
-	for it := 0; it < iters; it++ {
-		st := wp.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
-			sink += uint64(in.Addr) + uint64(in.Op)
-		}
-	}
-	streamWall := time.Since(start)
 	ops, addrs := d.Ops(), d.Addrs()
 	start = time.Now()
 	for it := 0; it < iters; it++ {
@@ -172,19 +155,12 @@ func measurePredecode(bench string, scale int) (*predecodeReport, error) {
 	if sink == 0 {
 		fmt.Fprintln(os.Stderr, "predecode: degenerate trace")
 	}
-	perStream := float64(streamWall.Nanoseconds()) / float64(iters*n)
-	perDecoded := float64(decodedWall.Nanoseconds()) / float64(iters*n)
-	rep := &predecodeReport{
+	return &predecodeReport{
 		Insts:            n,
 		BytesPerInst:     float64(d.Bytes()) / float64(n),
 		DecodeWallNS:     decodeWall.Nanoseconds(),
-		StreamNSPerInst:  perStream,
-		DecodedNSPerInst: perDecoded,
-	}
-	if perDecoded > 0 {
-		rep.ReplaySpeedup = perStream / perDecoded
-	}
-	return rep, nil
+		DecodedNSPerInst: float64(decodedWall.Nanoseconds()) / float64(iters*n),
+	}, nil
 }
 
 // measureParallel fans a fixed batch of independent BC runs over the

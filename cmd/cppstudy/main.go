@@ -27,7 +27,6 @@ import (
 
 	"cppcache"
 	"cppcache/internal/compress"
-	"cppcache/internal/isa"
 	"cppcache/internal/memsys"
 	"cppcache/internal/obs"
 	"cppcache/internal/sim"
@@ -188,12 +187,7 @@ func main() {
 		p := bm.Build(sc)
 		var tot float64
 		counts := map[int]float64{}
-		st := p.Stream()
-		for {
-			in, ok := st.Next()
-			if !ok {
-				break
-			}
+		for _, in := range p.Insts() {
 			if !in.Op.IsMem() {
 				continue
 			}
@@ -204,7 +198,6 @@ func main() {
 				}
 			}
 		}
-		_ = isa.OpLoad
 		fmt.Printf("%-22s %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n", bm.Name,
 			100*counts[7]/tot, 100*counts[11]/tot, 100*counts[15]/tot, 100*counts[23]/tot)
 	}

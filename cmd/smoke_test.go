@@ -16,6 +16,8 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"cppcache"
 )
 
 // build compiles ./cmd/<name> into t.TempDir and returns the binary path.
@@ -80,6 +82,14 @@ func TestSmokeCppstudy(t *testing.T) {
 	bin := build(t, "cppstudy")
 	out := run(t, bin, "-scale", "1")
 	expect(t, out, "Figure 3", "average compressible")
+	out = run(t, bin, "-scale", "1", "-widths")
+	_, ablation, _ := strings.Cut(out, "compression-width ablation")
+	expect(t, ablation, "7b", "11b", "15b", "23b")
+	for _, name := range cppcache.Benchmarks() {
+		if strings.Count(ablation, "\n"+name+" ") != 1 {
+			t.Errorf("-widths ablation has no single row for %s:\n%s", name, ablation)
+		}
+	}
 }
 
 func TestSmokeCppverify(t *testing.T) {
@@ -154,8 +164,8 @@ func TestSmokeCppserved(t *testing.T) {
 	status := get("/runs/1")
 	expect(t, status, `"state": "done"`, `"workload": "olden.treeadd"`)
 	expect(t, get("/metrics"),
-		"# TYPE cppsim_l1_misses_total counter",
-		`cppsim_l1_misses_total{run="1",workload="olden.treeadd",config="CPP",compressor="paper"}`,
+		"# TYPE cppserved_fleet_runs_total counter",
+		`cppserved_fleet_runs_total{workload="olden.treeadd",config="CPP",compressor="paper",state="done"} 1`,
 		`cppserved_runs{state="done"} 1`)
 
 	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {

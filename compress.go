@@ -49,17 +49,6 @@ func compressWidth(value, addr uint32, payloadBits int) bool {
 	return compress.CompressibleWidth(value, addr, payloadBits)
 }
 
-// CompressedLineHalves returns the compressed size, in 16-bit half-words,
-// of a line of words stored consecutively from base under the named
-// scheme ("" for the paper's default; see Compressors).
-func CompressedLineHalves(scheme string, words []uint32, base uint32) (int, error) {
-	c, err := compress.Get(scheme)
-	if err != nil {
-		return 0, err
-	}
-	return c.LineHalves(words, base), nil
-}
-
 // CompressorDelays returns the named scheme's combinational gate-depth
 // figures (compressor, decompressor), the latency axis of the zoo
 // comparison.

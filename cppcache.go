@@ -26,7 +26,6 @@ import (
 
 	"cppcache/internal/compress"
 	"cppcache/internal/core"
-	"cppcache/internal/hier"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
 	"cppcache/internal/obs"
@@ -471,8 +470,6 @@ func CPPDetails(s System) (mask uint32, victimPlacement bool, err error) {
 func BaselineDescription() string {
 	return baselineTable()
 }
-
-var _ = hier.BaselineConfig // keep the dependency explicit for godoc cross-reference
 
 // CPPVariant names a CPP configuration with explicit design knobs, for
 // ablation studies: the affiliated-line mask (the paper uses 0x1:

@@ -1,7 +1,6 @@
 package cppcache
 
 import (
-	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -164,10 +163,6 @@ func TestTraceBuilderFacade(t *testing.T) {
 	}
 	if res.Instructions != 4 {
 		t.Errorf("ran %d instructions", res.Instructions)
-	}
-	var buf bytes.Buffer
-	if n, err := p.WriteTo(&buf); err != nil || n != 4 {
-		t.Errorf("WriteTo = %d, %v", n, err)
 	}
 }
 

@@ -282,8 +282,8 @@ const stallSentinel = int64(1) << 40
 
 // Run replays the trace to completion and returns timing statistics. It
 // is RunContext with a background (never-canceled) context.
-func (c *Core) Run(rp *trace.Replayer) Result {
-	res, _ := c.RunContext(context.Background(), rp)
+func (c *Core) Run(d *trace.Decoded) Result {
+	res, _ := c.RunContext(context.Background(), d)
 	return res
 }
 
@@ -306,7 +306,7 @@ func (c *Core) Run(rp *trace.Replayer) Result {
 // deadline has expired, abandons the run and returns the partial statistics
 // together with ctx's error. A context that can never be canceled (Done()
 // == nil, e.g. context.Background()) skips the polling entirely.
-func (c *Core) RunContext(ctx context.Context, rp *trace.Replayer) (Result, error) {
+func (c *Core) RunContext(ctx context.Context, d *trace.Decoded) (Result, error) {
 	done := ctx.Done()
 	var (
 		iters           int64
@@ -343,7 +343,6 @@ func (c *Core) RunContext(ctx context.Context, rp *trace.Replayer) (Result, erro
 		c.regReadyAt[i] = 0
 	}
 
-	d := rp.Decoded()
 	dOps, dDests, dSrc1s, dSrc2s := d.Ops(), d.Dests(), d.Src1s(), d.Src2s()
 	dAddrs, dValues, dPCs, dTakens := d.Addrs(), d.Values(), d.PCs(), d.Takens()
 	dPos, dLen := 0, d.Len()

@@ -37,7 +37,7 @@ func run(t *testing.T, insts []isa.Inst, d memsys.System) Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.Run(trace.NewDecoded(insts).Replay())
+	return c.Run(trace.NewDecoded(insts))
 }
 
 // alu builds a simple ALU instruction.
@@ -115,7 +115,7 @@ func TestLoadLatencyBlocksDependents(t *testing.T) {
 		}
 		d := newPerfect(lat)
 		c, _ := New(DefaultParams(), d)
-		return c.Run(trace.NewDecoded(insts).Replay())
+		return c.Run(trace.NewDecoded(insts))
 	}
 	fast := mk(1)
 	slow := mk(100)
@@ -165,7 +165,7 @@ func TestBranchMispredictCost(t *testing.T) {
 		}
 		d := newPerfect(1)
 		c, _ := New(DefaultParams(), d)
-		return c.Run(trace.NewDecoded(insts).Replay())
+		return c.Run(trace.NewDecoded(insts))
 	}
 	steady := mk(false)
 	flaky := mk(true)
@@ -267,7 +267,7 @@ func TestRunWithRealHierarchy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := c.Run(trace.NewDecoded(insts).Replay())
+	res := c.Run(trace.NewDecoded(insts))
 	if res.ValueMismatches != 0 {
 		t.Fatalf("%d value mismatches through the real hierarchy", res.ValueMismatches)
 	}
@@ -285,7 +285,7 @@ func BenchmarkCoreALU(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c, _ := New(DefaultParams(), newPerfect(1))
-		c.Run(d.Replay())
+		c.Run(d)
 	}
 }
 
@@ -341,7 +341,7 @@ func TestCommitWidthBoundsIPC(t *testing.T) {
 		insts = append(insts, alu(int32(i), isa.NoReg, isa.NoReg, mach.Addr(i%32*4)))
 	}
 	c, _ := New(p, newPerfect(1))
-	res := c.Run(trace.NewDecoded(insts).Replay())
+	res := c.Run(trace.NewDecoded(insts))
 	if res.IPC() > 1.01 {
 		t.Errorf("IPC %v exceeds commit width 1", res.IPC())
 	}
@@ -361,7 +361,7 @@ func TestROBSizeLimitsOverlap(t *testing.T) {
 			})
 		}
 		c, _ := New(p, newPerfect(80))
-		return c.Run(trace.NewDecoded(insts).Replay())
+		return c.Run(trace.NewDecoded(insts))
 	}
 	small := mk(4)
 	big := mk(128)
@@ -384,7 +384,7 @@ func TestMemPortLimit(t *testing.T) {
 			})
 		}
 		c, _ := New(p, newPerfect(1))
-		return c.Run(trace.NewDecoded(insts).Replay())
+		return c.Run(trace.NewDecoded(insts))
 	}
 	one := mk(1)
 	four := mk(4)

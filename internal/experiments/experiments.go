@@ -50,12 +50,12 @@ type runKey struct {
 	halved bool
 }
 
-// Suite owns the programs and cached results for one experimental setup.
+// Suite owns the cached results for one experimental setup. Programs come
+// from workload.BuildShared, which builds each (workload, scale) once.
 type Suite struct {
 	opt Options
 
 	mu      sync.Mutex
-	progs   map[string]*workload.Program
 	results map[runKey]sim.Result
 }
 
@@ -63,31 +63,12 @@ type Suite struct {
 func NewSuite(opt Options) *Suite {
 	return &Suite{
 		opt:     opt.withDefaults(),
-		progs:   map[string]*workload.Program{},
 		results: map[runKey]sim.Result{},
 	}
 }
 
 // Options returns the fully defaulted options in use.
 func (s *Suite) Options() Options { return s.opt }
-
-// program returns (building and caching) the trace for a benchmark.
-func (s *Suite) program(name string) (*workload.Program, error) {
-	s.mu.Lock()
-	p, ok := s.progs[name]
-	s.mu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := workload.BuildShared(name, s.opt.Scale)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
-	s.progs[name] = p
-	s.mu.Unlock()
-	return p, nil
-}
 
 // ensure runs (or fetches) the cached result for every requested key,
 // fanning independent runs out over the worker pool.
@@ -107,7 +88,7 @@ func (s *Suite) ensure(keys []runKey) error {
 	// Build all needed programs first (deduplicated, serial: builders
 	// are cheap relative to simulation and share nothing).
 	for _, k := range missing {
-		if _, err := s.program(k.bench); err != nil {
+		if _, err := workload.BuildShared(k.bench, s.opt.Scale); err != nil {
 			return err
 		}
 	}
@@ -128,7 +109,7 @@ func (s *Suite) ensure(keys []runKey) error {
 	return sched.Do(len(missing), s.opt.Workers, s.opt.Trace, name,
 		func(j int) error {
 			k := missing[j]
-			p, err := s.program(k.bench)
+			p, err := workload.BuildShared(k.bench, s.opt.Scale)
 			if err != nil {
 				return err
 			}
@@ -178,17 +159,12 @@ func (s *Suite) Compressibility() (*stats.Table, error) {
 	t := stats.NewTable("Figure 3: dynamically accessed value compressibility", s.opt.Benchmarks, cols)
 	t.Note = "fraction of word-level accesses; paper average: 59% compressible"
 	for _, name := range s.opt.Benchmarks {
-		p, err := s.program(name)
+		p, err := workload.BuildShared(name, s.opt.Scale)
 		if err != nil {
 			return nil, err
 		}
 		var small, ptr, incomp, total float64
-		str := p.Stream()
-		for {
-			in, ok := str.Next()
-			if !ok {
-				break
-			}
+		for _, in := range p.Insts() {
 			if !in.Op.IsMem() {
 				continue
 			}
@@ -355,11 +331,14 @@ func (s *Suite) InstructionMix() (*stats.Table, error) {
 	cols := []string{"load", "store", "branch", "alu", "fp", "total(k)"}
 	t := stats.NewTable("Trace instruction mix", s.opt.Benchmarks, cols)
 	for _, name := range s.opt.Benchmarks {
-		p, err := s.program(name)
+		p, err := workload.BuildShared(name, s.opt.Scale)
 		if err != nil {
 			return nil, err
 		}
-		m := isa.CountMix(p.Stream())
+		var m isa.Mix
+		for _, in := range p.Insts() {
+			m.Add(in)
+		}
 		t.Set(name, "load", m.Frac(isa.OpLoad))
 		t.Set(name, "store", m.Frac(isa.OpStore))
 		t.Set(name, "branch", m.Frac(isa.OpBranch))

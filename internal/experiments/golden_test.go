@@ -11,15 +11,18 @@ package experiments
 // and the diff of golden.json becomes part of the review.
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"cppcache/internal/stats"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/golden.json from current simulation results")
+var update = flag.Bool("update", false, "rewrite the testdata goldens from current results")
 
 // goldenTolerance is the allowed relative drift per metric. Runs are
 // deterministic, so this only absorbs harmless cross-platform float
@@ -116,5 +119,38 @@ func TestGoldenHeadlineMetrics(t *testing.T) {
 	if got["geomean"]["traffic_reduction"] <= 0 {
 		t.Errorf("geomean traffic reduction %.4f, want > 0 (CPP must beat BC)",
 			got["geomean"]["traffic_reduction"])
+	}
+}
+
+// TestGoldenTraceTables pins the two tables computed from the traces
+// alone, Figure 3 and the instruction mix, exactly: all 14 programs at
+// scale 1, rendered as the CSV that cppbench -csv prints. Regenerate
+// with
+//
+//	go test ./internal/experiments -run TestGoldenTraceTables -update
+func TestGoldenTraceTables(t *testing.T) {
+	s := NewSuite(Options{Scale: 1})
+	var got bytes.Buffer
+	for _, table := range []func() (*stats.Table, error){s.Compressibility, s.InstructionMix} {
+		tb, err := table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		got.WriteString("# " + tb.Title + "\n" + tb.CSV())
+	}
+	path := filepath.Join("testdata", "trace_tables.csv")
+	if *update {
+		if err := os.WriteFile(path, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("rewrote %s", path)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (regenerate with -update)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		t.Errorf("trace tables drifted from %s; if intended, rerun with -update\ngot:\n%s", path, got.Bytes())
 	}
 }

@@ -1,7 +1,7 @@
 // Package isa defines the trace instruction set consumed by the simulated
 // processor core.
 //
-// Workload generators (internal/workload) emit streams of Inst records.
+// Workload generators (internal/workload) emit traces of Inst records.
 // Each record carries an opcode, virtual-register dependence edges (SSA-ish
 // ids that grow monotonically), and — for memory operations — the concrete
 // byte address and word value. The core uses the dependence edges and
@@ -56,10 +56,6 @@ func (o Op) String() string {
 // IsMem reports whether the opcode accesses memory.
 func (o Op) IsMem() bool { return o == OpLoad || o == OpStore }
 
-// Valid reports whether o is a defined opcode; decoders use it to reject
-// corrupted input.
-func (o Op) Valid() bool { return o >= 0 && o < numOps }
-
 // NoReg marks an absent register operand or destination.
 const NoReg int32 = -1
 
@@ -81,44 +77,6 @@ type Inst struct {
 	PC    mach.Addr // instruction address, used by the branch predictor
 }
 
-// Stream is a pull-based instruction source. Implementations must be
-// deterministic: two iterations of the same Stream yield identical
-// instructions.
-type Stream interface {
-	// Next returns the next instruction. ok is false at end of stream.
-	Next() (in Inst, ok bool)
-	// Reset rewinds the stream to the beginning.
-	Reset()
-}
-
-// SliceStream adapts a materialised instruction slice to the Stream
-// interface.
-type SliceStream struct {
-	insts []Inst
-	pos   int
-}
-
-// NewSliceStream returns a Stream over insts. The slice is not copied.
-func NewSliceStream(insts []Inst) *SliceStream {
-	return &SliceStream{insts: insts}
-}
-
-// Next implements Stream.
-func (s *SliceStream) Next() (Inst, bool) {
-	if s.pos >= len(s.insts) {
-		return Inst{}, false
-	}
-	in := s.insts[s.pos]
-	s.pos++
-	return in, true
-}
-
-// Reset implements Stream.
-func (s *SliceStream) Reset() { s.pos = 0 }
-
-// Len returns the number of instructions in the stream.
-func (s *SliceStream) Len() int { return len(s.insts) }
-
 // Mix tallies a trace's instruction class counts.
 type Mix struct {
 	Counts [numOps]int64
@@ -137,20 +95,4 @@ func (m *Mix) Frac(o Op) float64 {
 		return 0
 	}
 	return float64(m.Counts[o]) / float64(m.Total)
-}
-
-// CountMix consumes a stream (resetting it first and afterwards) and
-// returns its instruction mix.
-func CountMix(s Stream) Mix {
-	s.Reset()
-	var m Mix
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
-		m.Add(in)
-	}
-	s.Reset()
-	return m
 }

@@ -27,39 +27,13 @@ func TestIsMem(t *testing.T) {
 	}
 }
 
-func TestSliceStream(t *testing.T) {
-	insts := []Inst{
-		{Op: OpALU, Dest: 0},
-		{Op: OpLoad, Dest: 1, Src1: 0, Addr: 0x100},
-		{Op: OpBranch, Src1: 1, Taken: true},
-	}
-	s := NewSliceStream(insts)
-	if s.Len() != 3 {
-		t.Fatalf("Len = %d, want 3", s.Len())
-	}
-	for i := 0; i < 2; i++ { // two passes to exercise Reset
-		var got []Inst
-		for {
-			in, ok := s.Next()
-			if !ok {
-				break
-			}
-			got = append(got, in)
-		}
-		if len(got) != 3 || got[1].Addr != 0x100 || !got[2].Taken {
-			t.Fatalf("pass %d: got %+v", i, got)
-		}
-		s.Reset()
-	}
-}
-
-func TestCountMix(t *testing.T) {
-	insts := []Inst{
+func TestMixAdd(t *testing.T) {
+	var m Mix
+	for _, in := range []Inst{
 		{Op: OpALU}, {Op: OpALU}, {Op: OpLoad}, {Op: OpStore}, {Op: OpBranch},
+	} {
+		m.Add(in)
 	}
-	s := NewSliceStream(insts)
-	_, _ = s.Next() // CountMix must Reset before counting
-	m := CountMix(s)
 	if m.Total != 5 {
 		t.Fatalf("Total = %d, want 5", m.Total)
 	}
@@ -68,10 +42,6 @@ func TestCountMix(t *testing.T) {
 	}
 	if got := m.Frac(OpLoad); got != 0.2 {
 		t.Errorf("Frac(Load) = %v, want 0.2", got)
-	}
-	// Stream is reset for the caller afterwards.
-	if in, ok := s.Next(); !ok || in.Op != OpALU {
-		t.Error("CountMix did not reset the stream")
 	}
 }
 

@@ -62,43 +62,32 @@ func (k AttrKind) String() string {
 // AttrKinds returns every attributed kind in rendering order.
 func AttrKinds() []AttrKind { return []AttrKind{AttrL1Miss, AttrFillFail, AttrAffHit} }
 
-// DefaultAttrRegionBits is the data-region granularity when
-// Config.AttrRegionBits is 0: 12 bits, i.e. 4 KiB pages.
-const DefaultAttrRegionBits = 12
+// attrRegionBits is the data-region granularity of the attribution
+// profiler: 12 address bits, i.e. 4 KiB pages.
+const attrRegionBits = 12
 
 // attrKey is one cell of the joint attribution count set.
 type attrKey struct {
 	pc     mach.Addr
-	region mach.Addr // region base address (low regionBits bits cleared)
+	region mach.Addr // region base address (low attrRegionBits bits cleared)
 	kind   AttrKind
 }
 
 // attrProfile is the recorder-internal count store.
 type attrProfile struct {
-	regionBits uint
-	counts     map[attrKey]int64
-	totals     [numAttrKinds]int64
+	counts map[attrKey]int64
+	totals [numAttrKinds]int64
 }
 
-func newAttrProfile(regionBits int) *attrProfile {
-	if regionBits <= 0 {
-		regionBits = DefaultAttrRegionBits
-	}
-	return &attrProfile{
-		regionBits: uint(regionBits),
-		counts:     make(map[attrKey]int64),
-	}
-}
-
-func (p *attrProfile) regionOf(a mach.Addr) mach.Addr {
-	return a &^ (1<<p.regionBits - 1)
+func newAttrProfile() *attrProfile {
+	return &attrProfile{counts: make(map[attrKey]int64)}
 }
 
 func (p *attrProfile) add(kind AttrKind, pc, addr mach.Addr, n int64) {
 	if n == 0 {
 		return
 	}
-	p.counts[attrKey{pc: pc, region: p.regionOf(addr), kind: kind}] += n
+	p.counts[attrKey{pc: pc, region: addr &^ (1<<attrRegionBits - 1), kind: kind}] += n
 	p.totals[kind] += n
 }
 
@@ -263,7 +252,7 @@ func (r *Recorder) AttrText(topN int) string {
 		topN = 10
 	}
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "attribution profile (region granularity %d B)\n", 1<<r.attr.regionBits)
+	fmt.Fprintf(&sb, "attribution profile (region granularity %d B)\n", 1<<attrRegionBits)
 	for _, kind := range AttrKinds() {
 		total := r.attr.totals[kind]
 		fmt.Fprintf(&sb, "\n%s: total %d\n", kind, total)

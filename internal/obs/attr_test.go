@@ -7,8 +7,8 @@ import (
 	"cppcache/internal/mach"
 )
 
-func attrRecorder(regionBits int) *Recorder {
-	return New(Config{Attr: true, AttrRegionBits: regionBits})
+func attrRecorder() *Recorder {
+	return New(Config{Attr: true})
 }
 
 // TestAttrNilAndDisabled pins the inertness contract: every attribution
@@ -36,16 +36,16 @@ func TestAttrNilAndDisabled(t *testing.T) {
 	}
 }
 
-// TestAttrRegionGranularity checks that addresses collapse to regions of
-// the configured size and PCs are taken from the last SetAccessPC.
+// TestAttrRegionGranularity checks that addresses collapse to 4 KiB
+// regions and PCs are taken from the last SetAccessPC.
 func TestAttrRegionGranularity(t *testing.T) {
-	r := attrRecorder(8) // 256-byte regions
+	r := attrRecorder()
 	r.SetAccessPC(0x400)
 	r.AttrMiss(0x1000) // region 0x1000
-	r.AttrMiss(0x10fc) // same 256 B region
-	r.AttrMiss(0x1100) // next region
+	r.AttrMiss(0x1ffc) // same 4 KiB region
+	r.AttrMiss(0x2000) // next region
 	r.SetAccessPC(0x404)
-	r.AttrMiss(0x1104) // next region, second PC
+	r.AttrMiss(0x2004) // next region, second PC
 
 	if got := r.AttrTotal(AttrL1Miss); got != 4 {
 		t.Fatalf("total = %d, want 4", got)
@@ -57,8 +57,8 @@ func TestAttrRegionGranularity(t *testing.T) {
 	if regions[0].Addr != 0x1000 || regions[0].Count != 2 {
 		t.Errorf("top region = %+v, want {0x1000 2}", regions[0])
 	}
-	if regions[1].Addr != 0x1100 || regions[1].Count != 2 {
-		t.Errorf("second region = %+v, want {0x1100 2}", regions[1])
+	if regions[1].Addr != 0x2000 || regions[1].Count != 2 {
+		t.Errorf("second region = %+v, want {0x2000 2}", regions[1])
 	}
 	pcs := r.AttrTopPCs(AttrL1Miss, 10)
 	if len(pcs) != 2 || pcs[0].Addr != 0x400 || pcs[0].Count != 3 || pcs[1].Count != 1 {
@@ -69,7 +69,7 @@ func TestAttrRegionGranularity(t *testing.T) {
 // TestAttrMarginalsAgree checks that per-PC and per-region tables are
 // marginals of one joint count set: both sum to the kind total.
 func TestAttrMarginalsAgree(t *testing.T) {
-	r := attrRecorder(0) // default 4 KiB regions
+	r := attrRecorder()
 	pcs := []mach.Addr{0x400, 0x404, 0x410}
 	addrs := []mach.Addr{0x1000, 0x2000, 0x30_0000, 0x30_0040}
 	n := 0
@@ -100,7 +100,7 @@ func TestAttrMarginalsAgree(t *testing.T) {
 // TestAttrKindsIndependent checks the three kinds count independently
 // and that fill-fail attributes the word count, not the event count.
 func TestAttrKindsIndependent(t *testing.T) {
-	r := attrRecorder(0)
+	r := attrRecorder()
 	r.SetAccessPC(0x400)
 	r.AttrMiss(0x1000)
 	r.AttrAffHit(0x1000)
@@ -126,7 +126,7 @@ func TestAttrKindsIndependent(t *testing.T) {
 // names every kind with its total, and collapsed-stack lines follow
 // "kind;region;pc count".
 func TestAttrTextAndCollapsed(t *testing.T) {
-	r := attrRecorder(0)
+	r := attrRecorder()
 	r.SetAccessPC(0x400)
 	r.AttrMiss(0x1000)
 	r.AttrMiss(0x1000)
@@ -158,7 +158,7 @@ func TestAttrTextAndCollapsed(t *testing.T) {
 
 // TestAttrTopNTruncates checks the top-N cut keeps the largest counts.
 func TestAttrTopNTruncates(t *testing.T) {
-	r := attrRecorder(0)
+	r := attrRecorder()
 	for i := 0; i < 8; i++ {
 		r.SetAccessPC(mach.Addr(0x400 + 4*i))
 		for k := 0; k <= i; k++ {

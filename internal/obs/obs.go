@@ -52,9 +52,6 @@ type Config struct {
 	TraceCap int
 	// Attr enables the PC/region attribution profiler (attr.go).
 	Attr bool
-	// AttrRegionBits sets the data-region granularity of the attribution
-	// profiler in address bits (0 = DefaultAttrRegionBits, 4 KiB).
-	AttrRegionBits int
 	// OnSnapshot, when set, is called synchronously with each interval
 	// snapshot as it is taken (including the trailing Finish snapshot).
 	// Long-running consumers (the observatory's streaming registry) use it
@@ -125,7 +122,7 @@ func New(cfg Config) *Recorder {
 		r.ring = newRing(n)
 	}
 	if cfg.Attr {
-		r.attr = newAttrProfile(cfg.AttrRegionBits)
+		r.attr = newAttrProfile()
 	}
 	r.onSnap = cfg.OnSnapshot
 	return r

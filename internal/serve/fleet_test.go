@@ -16,7 +16,6 @@ import (
 
 	"cppcache/internal/chaos"
 	"cppcache/internal/ledger"
-	"cppcache/internal/span"
 )
 
 // getJSON fetches url and decodes the body into v, failing on non-200.
@@ -519,27 +518,15 @@ func TestRunsStateFilter(t *testing.T) {
 }
 
 // TestPromLabelEscaping: label values containing quotes, backslashes and
-// newlines must escape per the text exposition format in every family —
-// per-run series, fleet rollup series and build info.
+// newlines must escape per the text exposition format in every family
+// that carries them: fleet rollup series and build info.
 func TestPromLabelEscaping(t *testing.T) {
 	nasty := "a\"b\\c\nd"
 	const escaped = `a\"b\\c\nd`
 
-	// Per-run families: a run whose spec carries the hostile string (the
-	// HTTP layer would reject it, but the exposition writer must not rely
-	// on that).
-	run := &Run{
-		ID:      1,
-		Spec:    RunSpec{Workload: nasty, Config: nasty, Compressor: nasty},
-		state:   StateQueued,
-		created: time.Now(),
-		tracer:  span.New(0),
-		changed: make(chan struct{}),
-	}
+	// Fleet families, via a rollup over a hostile record (the HTTP layer
+	// would reject it, but the exposition writer must not rely on that).
 	var b strings.Builder
-	writeMetrics(&b, []*Run{run}, Counters{})
-
-	// Fleet families, via a rollup over a hostile record.
 	ro := ledger.NewRollup()
 	ro.Add(ledger.Record{
 		RunID: 1, TraceID: "t1", SpecHash: "h",

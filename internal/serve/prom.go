@@ -8,54 +8,6 @@ import (
 	"cppcache/internal/obs"
 )
 
-// promFamily is one exported metric family: name, help, type and a getter
-// that pulls the sample from a run's accumulated totals.
-type promFamily struct {
-	name  string
-	help  string
-	typ   string // "counter" or "gauge"
-	value func(t obs.Snapshot) float64
-}
-
-// promFamilies is the exposition order. Every counter is a column sum of
-// the run's interval snapshots, so at end of run each equals the
-// recorder's final total exactly (the snapshot series partitions the
-// run); mid-run it equals the total as of the last snapshot boundary.
-var promFamilies = []promFamily{
-	{"cppsim_cycles", "Simulated cycle of the last snapshot (memory ops in functional mode).", "gauge",
-		func(t obs.Snapshot) float64 { return float64(t.Cycle) }},
-	{"cppsim_instructions_total", "Instructions retired.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.Instructions) }},
-	{"cppsim_l1_accesses_total", "L1 data cache accesses.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.L1Accesses) }},
-	{"cppsim_l1_misses_total", "L1 data cache misses.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.L1Misses) }},
-	{"cppsim_l2_accesses_total", "L2 cache accesses.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.L2Accesses) }},
-	{"cppsim_l2_misses_total", "L2 cache misses.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.L2Misses) }},
-	{"cppsim_mem_read_halves_total", "16-bit halves read from main memory.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.MemReadHalves) }},
-	{"cppsim_mem_write_halves_total", "16-bit halves written to main memory.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.MemWriteHalves) }},
-	{"cppsim_aff_hits_total", "Demand hits on affiliated (prefetched) words.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.AffHits) }},
-	{"cppsim_aff_words_prefetched_total", "Words prefetched into affiliated space.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.AffWordsPrefetched) }},
-	{"cppsim_promotions_total", "Affiliated lines promoted to resident.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.Promotions) }},
-	{"cppsim_pf_buf_hits_total", "Prefetch-buffer hits (BCP) or victim-cache hits (VC).", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.PfBufHits) }},
-	{"cppsim_pf_issued_total", "Prefetches issued.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.PfIssued) }},
-	{"cppsim_fill_words_total", "Words fetched from memory into the hierarchy.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.FillWords) }},
-	{"cppsim_fill_comp_words_total", "Fetched words that were compressible to 16 bits.", "counter",
-		func(t obs.Snapshot) float64 { return float64(t.FillCompWords) }},
-	{"cppsim_pages_touched", "Distinct 4 KiB main-memory pages touched.", "gauge",
-		func(t obs.Snapshot) float64 { return float64(t.PagesTouched) }},
-}
-
 // writeBuildInfo renders the cppserved_build_info gauge: a constant-1
 // series whose labels make every scrape self-describing (which Go
 // toolchain, how many workers the box offers, where the ledger lives),
@@ -68,28 +20,16 @@ func writeBuildInfo(w *strings.Builder, ledgerPath string) {
 }
 
 // writeMetrics renders the registry in Prometheus text exposition format
-// version 0.0.4. Each run is one labelled series per family, plus
-// per-state run counts, interval counts, and the registry's own
-// supervision counters (queue depth, recovered panics, admission
-// rejections, evictions, dropped snapshots, slow-stream disconnects).
+// version 0.0.4: per-state run counts and the registry's own supervision
+// counters (queue depth, recovered panics, admission rejections,
+// evictions, dropped snapshots, slow-stream disconnects, memo traffic).
+// No family carries a run ID, so the series count stays fixed however
+// many runs are retained; a run's live totals are on GET /runs/{id} and
+// its SSE stream.
 func writeMetrics(w *strings.Builder, runs []*Run, c Counters) {
-	type sample struct {
-		labels string
-		totals obs.Snapshot
-	}
-	samples := make([]sample, 0, len(runs))
 	byState := map[RunState]int{}
-	intervals := make([]int, 0, len(runs))
 	for _, r := range runs {
-		st := r.Status()
-		byState[st.State]++
-		intervals = append(intervals, st.Intervals)
-		samples = append(samples, sample{
-			labels: fmt.Sprintf(`run="%d",workload=%q,config=%q,compressor=%q`,
-				r.ID, obs.EscapeLabel(r.Spec.Workload), obs.EscapeLabel(r.Spec.Config),
-				obs.EscapeLabel(r.Spec.Compressor)),
-			totals: st.Totals,
-		})
+		byState[r.State()]++
 	}
 
 	fmt.Fprintf(w, "# HELP cppserved_runs Runs by lifecycle state.\n# TYPE cppserved_runs gauge\n")
@@ -122,14 +62,4 @@ func writeMetrics(w *strings.Builder, runs []*Run, c Counters) {
 	fmt.Fprintf(w, "cppserved_memo_digest_drift_total %d\n", c.MemoDigestDrift)
 	fmt.Fprintf(w, "# HELP cppserved_memo_evictions_total Memo entries evicted by the LRU bound.\n# TYPE cppserved_memo_evictions_total counter\n")
 	fmt.Fprintf(w, "cppserved_memo_evictions_total %d\n", c.MemoEvictions)
-	fmt.Fprintf(w, "# HELP cppsim_intervals_total Metric snapshots taken.\n# TYPE cppsim_intervals_total counter\n")
-	for i, s := range samples {
-		fmt.Fprintf(w, "cppsim_intervals_total{%s} %d\n", s.labels, intervals[i])
-	}
-	for _, f := range promFamilies {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.typ)
-		for _, s := range samples {
-			fmt.Fprintf(w, "%s{%s} %v\n", f.name, s.labels, f.value(s.totals))
-		}
-	}
 }

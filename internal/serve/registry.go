@@ -354,9 +354,6 @@ func (g *Registry) Readiness() (ready bool, reason string) {
 	return true, ""
 }
 
-// Limits returns the registry's effective configuration.
-func (g *Registry) Limits() Config { return g.cfg }
-
 // normalize validates and canonicalises a spec, resolving workload
 // suffixes and upper-casing the configuration. Violations come back as
 // *SpecError (HTTP 400).

@@ -11,7 +11,7 @@
 //	DELETE /runs/{id}          cancel a queued or running job
 //	GET    /runs/{id}/stream   SSE: replay + follow the interval snapshots
 //	GET    /runs/{id}/profile  attribution profile (text or collapsed stacks)
-//	GET    /runs/{id}/trace    run-lifecycle span tree (?format=chrome|otlp)
+//	GET    /runs/{id}/trace    run-lifecycle span tree (?format=chrome)
 //	POST   /sweeps             expand a cross-product sweep into child runs
 //	GET    /sweeps             list sweeps (newest first)
 //	GET    /sweeps/{id}        one sweep's aggregate status and children
@@ -316,8 +316,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 
 // handleTrace is GET /runs/{id}/trace: the run's lifecycle span tree as
 // indented JSON. ?format=chrome renders Chrome trace_event JSON (load it
-// in chrome://tracing or Perfetto); ?format=otlp renders newline-
-// delimited OTLP-style JSON for offline tooling.
+// in chrome://tracing or Perfetto).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	run, ok := s.runFromPath(w, r)
 	if !ok {
@@ -330,11 +329,8 @@ func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	case "chrome":
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(run.TraceChrome())
-	case "otlp":
-		w.Header().Set("Content-Type", "application/x-ndjson")
-		w.Write(run.TraceOTLP())
 	default:
-		jsonError(w, http.StatusBadRequest, "unknown trace format %q (known: tree, chrome, otlp)", format)
+		jsonError(w, http.StatusBadRequest, "unknown trace format %q (known: tree, chrome)", format)
 	}
 }
 

@@ -102,8 +102,9 @@ func parseExposition(t *testing.T, body string) map[string]float64 {
 }
 
 // TestMetricsMatchRunTotals is the wire-conservation test: at end of run
-// the Prometheus counters must equal the recorder's final totals (reached
-// independently through cppcache.Run's Result and the run status).
+// the run's fleet group on /metrics must equal the recorder's final totals
+// (reached independently through cppcache.Run's Result and the run
+// status).
 func TestMetricsMatchRunTotals(t *testing.T) {
 	ts, _ := newTestServer(t)
 	st := launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`)
@@ -121,23 +122,20 @@ func TestMetricsMatchRunTotals(t *testing.T) {
 	}
 	metrics := parseExposition(t, readAll(t, resp))
 
-	labels := fmt.Sprintf(`{run="%d",workload="olden.mst",config="CPP",compressor="paper"}`, st.ID)
-	want := map[string]int64{
-		"cppsim_l1_accesses_total":     final.Totals.L1Accesses,
-		"cppsim_l1_misses_total":       final.Totals.L1Misses,
-		"cppsim_l2_accesses_total":     final.Totals.L2Accesses,
-		"cppsim_l2_misses_total":       final.Totals.L2Misses,
-		"cppsim_mem_read_halves_total": final.Totals.MemReadHalves,
-		"cppsim_fill_words_total":      final.Totals.FillWords,
-		"cppsim_aff_hits_total":        final.Totals.AffHits,
+	labels := `{workload="olden.mst",config="CPP",compressor="paper",state="done"}`
+	want := map[string]float64{
+		"cppserved_fleet_runs_total":          1,
+		"cppserved_fleet_instructions_total":  float64(final.Totals.Instructions),
+		"cppserved_fleet_l1_misses_total":     float64(final.Totals.L1Misses),
+		"cppserved_fleet_traffic_words_total": float64(final.Totals.MemReadHalves+final.Totals.MemWriteHalves) / 2,
 	}
 	for name, w := range want {
 		got, ok := metrics[name+labels]
 		if !ok {
 			t.Fatalf("series %s%s missing from exposition", name, labels)
 		}
-		if got != float64(w) {
-			t.Errorf("%s = %v, want %d", name, got, w)
+		if got != w {
+			t.Errorf("%s = %v, want %v", name, got, w)
 		}
 	}
 
@@ -146,6 +144,9 @@ func TestMetricsMatchRunTotals(t *testing.T) {
 	res := final.Result
 	if res == nil {
 		t.Fatal("done run has no result")
+	}
+	if final.Totals.Instructions != res.Instructions {
+		t.Errorf("summed snapshot instructions %d != result %d", final.Totals.Instructions, res.Instructions)
 	}
 	if final.Totals.L1Misses != res.L1Misses {
 		t.Errorf("summed snapshot L1 misses %d != result %d", final.Totals.L1Misses, res.L1Misses)
@@ -161,9 +162,6 @@ func TestMetricsMatchRunTotals(t *testing.T) {
 	}
 	if metrics[`cppserved_runs{state="done"}`] != 1 {
 		t.Errorf("cppserved_runs{state=done} = %v, want 1", metrics[`cppserved_runs{state="done"}`])
-	}
-	if metrics["cppsim_intervals_total"+labels] != float64(final.Intervals) {
-		t.Errorf("intervals series = %v, want %d", metrics["cppsim_intervals_total"+labels], final.Intervals)
 	}
 }
 
@@ -342,7 +340,7 @@ func TestLaunchValidation(t *testing.T) {
 // TestCompressorSpecRoundtrip pins the compressor axis through the API:
 // the default spec canonicalises to the paper's scheme, a zoo scheme on a
 // compressing config runs to completion, and the selection reaches the
-// result and the Prometheus labels.
+// result and the fleet group's Prometheus labels.
 func TestCompressorSpecRoundtrip(t *testing.T) {
 	ts, _ := newTestServer(t)
 	st := launch(t, ts, `{"workload":"mst","config":"BCC","functional":true,"scale":1}`)
@@ -379,7 +377,7 @@ func TestCompressorSpecRoundtrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	body := readAll(t, resp)
-	needle := fmt.Sprintf(`run="%d",workload="olden.mst",config="BCC",compressor="fpc"`, st2.ID)
+	needle := `cppserved_fleet_runs_total{workload="olden.mst",config="BCC",compressor="fpc",state="done"} 1`
 	if !strings.Contains(body, needle) {
 		t.Errorf("metrics exposition missing per-scheme labels %s", needle)
 	}

@@ -83,8 +83,5 @@ func (r *Run) TraceTree() []byte { return r.tracer.Tree() }
 // (?format=chrome).
 func (r *Run) TraceChrome() []byte { return r.tracer.Chrome() }
 
-// TraceOTLP renders the run's spans as OTLP-style NDJSON (?format=otlp).
-func (r *Run) TraceOTLP() []byte { return r.tracer.OTLP() }
-
 // TraceSpans returns the run's raw span snapshot for tests.
 func (r *Run) TraceSpans() []span.SpanData { return r.tracer.Snapshot() }

@@ -170,11 +170,10 @@ func Run(p *workload.Program, config string, lat memsys.Latencies, o Options) (R
 	res := Result{Benchmark: p.Name, Config: config}
 	var op, mismatches int64
 	if c != nil {
-		// Replay the shared pre-decoded trace: the core recognises the
-		// concrete stream type and fetches straight from the
-		// struct-of-arrays buffers, which any number of concurrent runs
-		// share read-only.
-		res.CPU, err = c.RunContext(ctx, p.Replay())
+		// Replay the shared pre-decoded trace: the core fetches straight
+		// from its struct-of-arrays buffers, which any number of
+		// concurrent runs share read-only.
+		res.CPU, err = c.RunContext(ctx, p.Decoded())
 		running.SetAttrs(span.Int("cycles", int64(res.CPU.Cycles)))
 		mismatches = res.CPU.ValueMismatches
 	} else if op, mismatches, err = replayMemOps(ctx, p, sys, rec, o.Fault); err == nil {

@@ -179,93 +179,6 @@ func (t *Tracer) Chrome() []byte {
 	return EncodeChrome(evs, dropped, t.traceID)
 }
 
-// otlpValue is the OTLP AnyValue encoding of one attribute value.
-type otlpValue struct {
-	Str *string `json:"stringValue,omitempty"`
-	Int *int64  `json:"intValue,omitempty"`
-}
-
-// otlpAttr is one OTLP KeyValue.
-type otlpAttr struct {
-	Key   string    `json:"key"`
-	Value otlpValue `json:"value"`
-}
-
-func otlpAttrs(attrs []Attr) []otlpAttr {
-	if len(attrs) == 0 {
-		return nil
-	}
-	out := make([]otlpAttr, len(attrs))
-	for i, a := range attrs {
-		out[i] = otlpAttr{Key: a.Key}
-		if a.IsInt {
-			v := a.Int
-			out[i].Value.Int = &v
-		} else {
-			v := a.Str
-			out[i].Value.Str = &v
-		}
-	}
-	return out
-}
-
-// otlpEvent is one OTLP Span.Event.
-type otlpEvent struct {
-	TimeUnixNano int64      `json:"timeUnixNano"`
-	Name         string     `json:"name"`
-	Attrs        []otlpAttr `json:"attributes,omitempty"`
-}
-
-// otlpSpan is one OTLP-style span line of the NDJSON export.
-type otlpSpan struct {
-	TraceID           string      `json:"traceId"`
-	SpanID            string      `json:"spanId"`
-	ParentSpanID      string      `json:"parentSpanId,omitempty"`
-	Name              string      `json:"name"`
-	StartTimeUnixNano int64       `json:"startTimeUnixNano"`
-	EndTimeUnixNano   int64       `json:"endTimeUnixNano,omitempty"`
-	Attrs             []otlpAttr  `json:"attributes,omitempty"`
-	Events            []otlpEvent `json:"events,omitempty"`
-}
-
-// OTLP renders the trace as newline-delimited OTLP-style JSON: one span
-// per line, every line self-contained (trace and parent IDs inline), so
-// dumps from many runs or processes concatenate into one analyzable file
-// with plain cat.
-func (t *Tracer) OTLP() []byte {
-	var buf bytes.Buffer
-	if t == nil {
-		return buf.Bytes()
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	enc := json.NewEncoder(&buf)
-	for _, s := range t.spans {
-		line := otlpSpan{
-			TraceID:           t.traceID,
-			SpanID:            s.id.String(),
-			Name:              s.name,
-			StartTimeUnixNano: s.start.UnixNano(),
-			Attrs:             otlpAttrs(s.attrs),
-		}
-		if s.parent != 0 {
-			line.ParentSpanID = s.parent.String()
-		}
-		if !s.end.IsZero() {
-			line.EndTimeUnixNano = s.end.UnixNano()
-		}
-		for _, e := range s.events {
-			line.Events = append(line.Events, otlpEvent{
-				TimeUnixNano: e.Time.UnixNano(), Name: e.Name, Attrs: otlpAttrs(e.Attrs),
-			})
-		}
-		if err := enc.Encode(line); err != nil {
-			panic(fmt.Sprintf("span: otlp encoding: %v", err))
-		}
-	}
-	return buf.Bytes()
-}
-
 // mustEncode marshals v with the given indent. The export structs contain
 // nothing json.Marshal can reject.
 func mustEncode(v any, indent string) []byte {

@@ -17,12 +17,12 @@
 // MaxEvents per span it drops new events, so a runaway instrumentation
 // site can never grow memory without limit.
 //
-// Two exporters ship with the tracer (export.go): the Chrome trace_event
-// format (loadable in chrome://tracing or Perfetto; its encoder,
+// Two exporters ship with the tracer (export.go). Tree renders the
+// parent-child structure as indented JSON for the observatory's
+// GET /runs/{id}/trace endpoint. Chrome renders the Chrome trace_event
+// format (loadable in chrome://tracing or Perfetto); its encoder,
 // EncodeChrome, is the repo's only one, and internal/obs's flight
-// recorder renders through it too) and a newline-delimited OTLP-style
-// JSON for offline tooling. Tree renders the parent-child structure as
-// indented JSON for the observatory's GET /runs/{id}/trace endpoint.
+// recorder renders through it too.
 package span
 
 import (

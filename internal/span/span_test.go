@@ -6,7 +6,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 	"time"
 )
@@ -72,9 +71,6 @@ func TestNilTracerAndSpanAreInert(t *testing.T) {
 	}
 	if got := tr.Chrome(); !bytes.Contains(got, []byte(`"traceEvents": []`)) {
 		t.Fatalf("nil Chrome = %s", got)
-	}
-	if got := tr.OTLP(); len(got) != 0 {
-		t.Fatalf("nil OTLP = %q", got)
 	}
 }
 
@@ -286,65 +282,6 @@ func TestChromeExportStable(t *testing.T) {
 	}
 }
 
-func TestOTLPExportNDJSON(t *testing.T) {
-	tr := buildFixedTrace(t)
-	got := tr.OTLP()
-	if !bytes.Equal(got, tr.OTLP()) {
-		t.Fatalf("OTLP export not deterministic")
-	}
-	lines := strings.Split(strings.TrimRight(string(got), "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d lines, want 4:\n%s", len(lines), got)
-	}
-	type line struct {
-		TraceID      string `json:"traceId"`
-		SpanID       string `json:"spanId"`
-		ParentSpanID string `json:"parentSpanId"`
-		Name         string `json:"name"`
-		Start        int64  `json:"startTimeUnixNano"`
-		End          int64  `json:"endTimeUnixNano"`
-		Attrs        []struct {
-			Key   string `json:"key"`
-			Value struct {
-				Str *string `json:"stringValue"`
-				Int *int64  `json:"intValue"`
-			} `json:"value"`
-		} `json:"attributes"`
-		Events []struct {
-			Name string `json:"name"`
-			Time int64  `json:"timeUnixNano"`
-		} `json:"events"`
-	}
-	byName := map[string]line{}
-	for _, raw := range lines {
-		var l line
-		if err := json.Unmarshal([]byte(raw), &l); err != nil {
-			t.Fatalf("line not valid JSON: %v\n%s", err, raw)
-		}
-		if l.TraceID != "00112233445566778899aabbccddeeff" {
-			t.Fatalf("line traceId = %q", l.TraceID)
-		}
-		byName[l.Name] = l
-	}
-	if byName["queue"].ParentSpanID != byName["run"].SpanID {
-		t.Fatalf("queue parent = %q, run span = %q", byName["queue"].ParentSpanID, byName["run"].SpanID)
-	}
-	if byName["run"].ParentSpanID != "" {
-		t.Fatalf("run has parent %q", byName["run"].ParentSpanID)
-	}
-	ex := byName["execute"]
-	if ex.Start != t1.UnixNano() || ex.End != t3.UnixNano() {
-		t.Fatalf("execute times = %d..%d", ex.Start, ex.End)
-	}
-	if len(ex.Attrs) != 1 || ex.Attrs[0].Key != "worker" || ex.Attrs[0].Value.Int == nil || *ex.Attrs[0].Value.Int != 2 {
-		t.Fatalf("execute attrs = %+v", ex.Attrs)
-	}
-	sim := byName["sim.run"]
-	if len(sim.Events) != 1 || sim.Events[0].Name != "chaos.fired" || sim.Events[0].Time != t2.UnixNano() {
-		t.Fatalf("sim.run events = %+v", sim.Events)
-	}
-}
-
 func TestOpenSpanExports(t *testing.T) {
 	tr := NewWithID("open", 0)
 	tr.StartAt("pending", nil, t0)
@@ -362,15 +299,6 @@ func TestOpenSpanExports(t *testing.T) {
 	}
 	if !bytes.Contains(tr.Chrome(), []byte(`"ph": "B"`)) {
 		t.Fatalf("open span not a B event:\n%s", tr.Chrome())
-	}
-	var otlp struct {
-		End int64 `json:"endTimeUnixNano"`
-	}
-	if err := json.Unmarshal(tr.OTLP(), &otlp); err != nil {
-		t.Fatal(err)
-	}
-	if otlp.End != 0 {
-		t.Fatalf("open span OTLP end = %d", otlp.End)
 	}
 }
 
@@ -413,5 +341,4 @@ func TestConcurrentUse(t *testing.T) {
 	// Exports must not race or corrupt.
 	tr.Tree()
 	tr.Chrome()
-	tr.OTLP()
 }

@@ -229,20 +229,6 @@ func (t *Table) CSV() string {
 	return sb.String()
 }
 
-// Map returns the table as nested maps (row -> column -> value), the form
-// the golden-file regression tests serialise to JSON.
-func (t *Table) Map() map[string]map[string]float64 {
-	out := make(map[string]map[string]float64, len(t.Rows))
-	for r, name := range t.Rows {
-		row := make(map[string]float64, len(t.Cols))
-		for c, col := range t.Cols {
-			row[col] = t.Cells[r][c]
-		}
-		out[name] = row
-	}
-	return out
-}
-
 // SortedRows returns a copy of the table with rows sorted by name, for
 // stable output regardless of construction order.
 func (t *Table) SortedRows() *Table {

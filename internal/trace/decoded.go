@@ -1,17 +1,15 @@
-// Pre-decoded trace representation: the struct-of-arrays form of an
-// instruction trace, built once per (workload, scale) and shared
-// read-only across every configuration, repetition and goroutine of a
-// sweep.
+// Package trace holds the pre-decoded, struct-of-arrays instruction
+// trace that every run replays.
 //
-// The array-of-structs form ([]isa.Inst, 32 bytes per record) is what
-// generators produce and what the serializer in this package reads and
-// writes. Decoded splits the same records into flat per-field buffers
-// (opcode, register ids, address, value, flags), which is 26 bytes per
-// instruction, keeps each field's stream contiguous for replay loops
-// that touch only a few fields (the functional simulator reads just
-// opcode/addr/value/pc), and gives the simulator a concrete type to
-// index so the per-instruction interface dispatch of isa.Stream
-// disappears from the fetch hot path.
+// A workload generator produces its trace as []isa.Inst (32 bytes per
+// record). Decoded splits the same records into flat per-field buffers
+// (opcode, register ids, address, value, flags), 26 bytes per
+// instruction. It is built once per (workload, scale) and shared
+// read-only across every configuration, repetition and goroutine of a
+// sweep. Each field's buffer is contiguous, so replay loops that touch
+// only a few fields (the functional simulator reads just
+// opcode/addr/value/pc) stream through them, and the core's fetch stage
+// indexes them directly.
 package trace
 
 import (
@@ -111,36 +109,3 @@ func (d *Decoded) PCs() []mach.Addr { return d.pcs }
 
 // Takens returns the branch-outcome buffer.
 func (d *Decoded) Takens() []bool { return d.takens }
-
-// Replay returns a fresh stream over the trace. The returned Replayer
-// carries its own cursor, so any number of concurrent replays can share
-// one Decoded.
-func (d *Decoded) Replay() *Replayer { return &Replayer{d: d} }
-
-// Replayer adapts a Decoded trace to isa.Stream. The simulator
-// recognises the concrete type and bypasses Next entirely, indexing the
-// buffers directly; Next exists so every existing Stream consumer
-// (instruction-mix scans, tests, external tools) works unchanged.
-type Replayer struct {
-	d   *Decoded
-	pos int
-}
-
-// Decoded returns the shared buffers behind the stream.
-func (r *Replayer) Decoded() *Decoded { return r.d }
-
-// Next implements isa.Stream.
-func (r *Replayer) Next() (isa.Inst, bool) {
-	if r.pos >= len(r.d.ops) {
-		return isa.Inst{}, false
-	}
-	in := r.d.At(r.pos)
-	r.pos++
-	return in, true
-}
-
-// Reset implements isa.Stream.
-func (r *Replayer) Reset() { r.pos = 0 }
-
-// Len returns the trace length in instructions.
-func (r *Replayer) Len() int { return len(r.d.ops) }

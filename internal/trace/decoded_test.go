@@ -30,48 +30,6 @@ func TestDecodedRoundtrip(t *testing.T) {
 	}
 }
 
-// TestReplayerMatchesSliceStream proves the Stream adapter is
-// indistinguishable from the canonical slice stream, including across a
-// Reset.
-func TestReplayerMatchesSliceStream(t *testing.T) {
-	insts := sampleInsts()
-	r := NewDecoded(insts).Replay()
-	s := isa.NewSliceStream(insts)
-	for pass := 0; pass < 2; pass++ {
-		for i := 0; ; i++ {
-			ri, rok := r.Next()
-			si, sok := s.Next()
-			if rok != sok {
-				t.Fatalf("pass %d pos %d: ok mismatch %v vs %v", pass, i, rok, sok)
-			}
-			if !rok {
-				break
-			}
-			if ri != si {
-				t.Fatalf("pass %d pos %d: %+v vs %+v", pass, i, ri, si)
-			}
-		}
-		r.Reset()
-		s.Reset()
-	}
-	if r.Len() != len(insts) {
-		t.Fatalf("Replayer.Len = %d, want %d", r.Len(), len(insts))
-	}
-}
-
-// TestDecodedSharedCursors checks independent Replayers over one Decoded
-// do not interfere.
-func TestDecodedSharedCursors(t *testing.T) {
-	d := NewDecoded(sampleInsts())
-	a, b := d.Replay(), d.Replay()
-	a.Next()
-	a.Next()
-	in, ok := b.Next()
-	if !ok || in != d.At(0) {
-		t.Fatalf("second replayer disturbed by first: %+v ok=%v", in, ok)
-	}
-}
-
 func TestDecodedBytes(t *testing.T) {
 	d := NewDecoded(make([]isa.Inst, 10))
 	if d.Bytes() != 260 {

@@ -278,12 +278,7 @@ func WorkloadStream(name string, scale int) (*Stream, error) {
 	}
 	p := bm.Build(scale)
 	s := &Stream{Name: fmt.Sprintf("%s(scale=%d)", name, scale)}
-	str := p.Stream()
-	for {
-		in, ok := str.Next()
-		if !ok {
-			break
-		}
+	for _, in := range p.Insts() {
 		switch in.Op {
 		case isa.OpLoad:
 			s.Ops = append(s.Ops, Op{Addr: in.Addr, Val: in.Value, Expect: true})

@@ -36,12 +36,6 @@ func (o *Oracle) Read(a mach.Addr) mach.Word {
 	return o.words[mach.WordAlign(a)]
 }
 
-// Tracked reports whether a has ever been written through the oracle.
-func (o *Oracle) Tracked(a mach.Addr) bool {
-	_, ok := o.words[mach.WordAlign(a)]
-	return ok
-}
-
 // Len returns the number of tracked words.
 func (o *Oracle) Len() int { return len(o.words) }
 

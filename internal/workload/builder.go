@@ -56,25 +56,13 @@ type B struct {
 
 // NewBuilder returns an empty builder with a deterministic RNG. The trace
 // array starts with room for a typical scale-1 benchmark so early emission
-// does not repeatedly regrow it; Grow raises the reservation when the
-// generator knows its size up front.
+// does not repeatedly regrow it.
 func NewBuilder(seed int64) *B {
 	return &B{
 		insts: make([]isa.Inst, 0, 1<<14),
 		image: mem.New(),
 		brk:   HeapBase,
 		rng:   rand.New(rand.NewSource(seed)),
-	}
-}
-
-// Grow reserves capacity for at least n further instructions, so
-// generators that can bound their trace length build into one flat
-// allocation instead of doubling through intermediate arrays.
-func (b *B) Grow(n int) {
-	if need := len(b.insts) + n; need > cap(b.insts) {
-		grown := make([]isa.Inst, len(b.insts), need)
-		copy(grown, b.insts)
-		b.insts = grown
 	}
 }
 
@@ -111,9 +99,6 @@ func (b *B) Alloc(bytes, align int) mach.Addr {
 	b.brk += mach.Addr((bytes + mach.WordBytes - 1) &^ (mach.WordBytes - 1))
 	return p
 }
-
-// Brk returns the current heap break (for layout-aware workloads).
-func (b *B) Brk() mach.Addr { return b.brk }
 
 // scatterChunk is the granule of scattered allocation: the 32K
 // pointer-compression chunk. Interleaving stays inside one chunk so that
@@ -225,9 +210,6 @@ type Program struct {
 	insts []isa.Inst
 	image *mem.Memory
 }
-
-// Stream returns a fresh replayable stream over the trace.
-func (p *Program) Stream() isa.Stream { return isa.NewSliceStream(p.insts) }
 
 // Len returns the trace length in instructions.
 func (p *Program) Len() int { return len(p.insts) }

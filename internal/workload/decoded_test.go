@@ -88,19 +88,7 @@ func TestDecodedStoreLRUOrder(t *testing.T) {
 
 func TestReplayStreamsProgram(t *testing.T) {
 	p := buildSmall(t, 4)
-	r := p.Replay()
-	s := p.Stream()
-	for {
-		ri, rok := r.Next()
-		si, sok := s.Next()
-		if rok != sok {
-			t.Fatalf("length mismatch")
-		}
-		if !rok {
-			break
-		}
-		if ri != si {
-			t.Fatalf("replay %+v != stream %+v", ri, si)
-		}
+	if p.Replay() != p.Decoded() {
+		t.Fatal("Replay is not the program's shared decode")
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 
 	"cppcache/internal/isa"
@@ -313,24 +312,6 @@ func Health(scale int) *Program {
 
 	// Simulation steps.
 	for s := 0; s < steps; s++ {
-		if healthStepHook != nil {
-			listed := 0
-			seen := map[mach.Addr]mach.Addr{}
-			for _, v := range villages {
-				for cur := b.image.ReadWord(v.addr + 0); cur != 0; cur = b.image.ReadWord(cur + 0) {
-					listed++
-					if other, dup := seen[cur]; dup {
-						panic(fmt.Sprintf("step %d: patient %#x in lists of villages %#x and %#x", s, cur, other, v.addr))
-					}
-					seen[cur] = v.addr
-					if listed > 1_000_000 {
-						healthStepHook(s, b.Len(), -1)
-						return b.Program("olden.health")
-					}
-				}
-			}
-			healthStepHook(s, b.Len(), listed)
-		}
 		for _, v := range villages {
 			b.SetPC(pcLoop)
 			headReg := b.Load(v.addr+0, NoReg)

@@ -93,12 +93,7 @@ func TestRegistryComplete(t *testing.T) {
 func replay(t *testing.T, p *Program) (loads, stores int) {
 	t.Helper()
 	m := mem.New()
-	s := p.Stream()
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, in := range p.Insts() {
 		switch in.Op {
 		case isa.OpStore:
 			m.WriteWord(in.Addr, in.Value)
@@ -150,7 +145,10 @@ func TestAllBenchmarksWellFormed(t *testing.T) {
 			}
 			checkRegs(t, p)
 
-			mix := isa.CountMix(p.Stream())
+			var mix isa.Mix
+			for _, in := range p.Insts() {
+				mix.Add(in)
+			}
 			if mix.Frac(isa.OpLoad)+mix.Frac(isa.OpStore) < 0.15 {
 				t.Errorf("memory mix too light: %.2f", mix.Frac(isa.OpLoad)+mix.Frac(isa.OpStore))
 			}
@@ -167,12 +165,7 @@ func TestAllBenchmarksWellFormed(t *testing.T) {
 func TestValueMixVaries(t *testing.T) {
 	frac := func(p *Program) float64 {
 		comp, total := 0, 0
-		s := p.Stream()
-		for {
-			in, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, in := range p.Insts() {
 			if !in.Op.IsMem() {
 				continue
 			}
@@ -219,12 +212,7 @@ func mustByName(t *testing.T, name string) Benchmark {
 func TestPointerFieldsMostlyCompressible(t *testing.T) {
 	p := TreeAdd(1)
 	ptr, comp := 0, 0
-	s := p.Stream()
-	for {
-		in, ok := s.Next()
-		if !ok {
-			break
-		}
+	for _, in := range p.Insts() {
 		if in.Op == isa.OpStore && in.Value >= mach.Addr(HeapBase) {
 			ptr++
 			if compress.Compressible(in.Value, in.Addr) {
@@ -317,12 +305,7 @@ func TestScatterAllocDecorrelates(t *testing.T) {
 func TestCompressibilityBands(t *testing.T) {
 	frac := func(p *Program) float64 {
 		comp, total := 0, 0
-		s := p.Stream()
-		for {
-			in, ok := s.Next()
-			if !ok {
-				break
-			}
+		for _, in := range p.Insts() {
 			if !in.Op.IsMem() {
 				continue
 			}

@@ -1,10 +1,7 @@
 package cppcache
 
 import (
-	"io"
-
 	"cppcache/internal/isa"
-	"cppcache/internal/trace"
 	"cppcache/internal/workload"
 )
 
@@ -16,11 +13,6 @@ func (p *Program) Name() string { return p.p.Name }
 
 // Len returns the trace length in instructions.
 func (p *Program) Len() int { return p.p.Len() }
-
-// WriteTo serialises the trace in the cppcache binary format.
-func (p *Program) WriteTo(w io.Writer) (int64, error) {
-	return trace.WriteAll(w, p.p.Stream())
-}
 
 // BuildBenchmark generates one of the 14 paper workloads at the given
 // scale (0 means the experiment default).
