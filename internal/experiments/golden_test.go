@@ -14,11 +14,13 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"cppcache/internal/sim"
 	"cppcache/internal/stats"
 )
 
@@ -152,5 +154,109 @@ func TestGoldenTraceTables(t *testing.T) {
 	}
 	if !bytes.Equal(got.Bytes(), want) {
 		t.Errorf("trace tables drifted from %s; if intended, rerun with -update\ngot:\n%s", path, got.Bytes())
+	}
+}
+
+// TestGoldenTiming pins the OoO core's timing exactly, from one suite
+// run over all 14 programs at scale 1 (the runs cppbench -related
+// -scale 1 makes):
+//
+//   - testdata/timing_runs.csv holds every counter of cpu.Result for the
+//     168 timing runs: 7 configs at full miss penalties and the paper's 5
+//     configs at halved ones;
+//   - testdata/timing_tables.csv holds every simulated table that
+//     command prints, as the CSV that cppbench -csv prints.
+//
+// The rounded tables can hide a one-cycle drift; the counters cannot.
+// Regenerate with
+//
+//	go test ./internal/experiments -run TestGoldenTiming -update
+func TestGoldenTiming(t *testing.T) {
+	if testing.Short() {
+		t.Skip("slow: 168 timing runs")
+	}
+	s := NewSuite(Options{Scale: 1})
+	var tables bytes.Buffer
+	for _, table := range []func() (*stats.Table, error){
+		s.MemoryTraffic, s.ExecutionTime,
+		func() (*stats.Table, error) { return s.CacheMisses(1) },
+		func() (*stats.Table, error) { return s.CacheMisses(2) },
+		s.MissImportance, s.ReadyQueue,
+		func() (*stats.Table, error) { return s.RelatedWork("time") },
+		func() (*stats.Table, error) { return s.RelatedWork("traffic") },
+		s.Energy,
+	} {
+		tb, err := table()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tables.WriteString("# " + tb.Title + "\n" + tb.CSV())
+	}
+
+	// MissCycles also counts the ready-queue samples, so it stands for
+	// both.
+	var runs bytes.Buffer
+	runs.WriteString("benchmark,config,halved,cycles,instructions,loads,stores," +
+		"branches,mispredicts,icache_accesses,icache_misses,value_mismatches," +
+		"miss_cycles,ready_queue_in_miss\n")
+	full := append(append([]string(nil), sim.Configs()...), sim.ExtraConfigs()...)
+	n := 0
+	for _, halved := range []bool{false, true} {
+		configs := full
+		if halved {
+			configs = sim.Configs()
+		}
+		for _, b := range s.opt.Benchmarks {
+			for _, c := range configs {
+				r, ok := s.results[runKey{b, c, halved}]
+				if !ok {
+					t.Fatalf("%s/%s halved=%v: not run by the tables", b, c, halved)
+				}
+				n++
+				u := r.CPU
+				fmt.Fprintf(&runs, "%s,%s,%v,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d,%d\n",
+					b, c, halved, u.Cycles, u.Instructions, u.Loads, u.Stores,
+					u.Branches, u.Mispredicts, u.ICacheAccesses, u.ICacheMisses,
+					u.ValueMismatches, u.MissCycles, u.ReadyQueueInMiss)
+			}
+		}
+	}
+	if n != 168 || len(s.results) != n {
+		t.Fatalf("%d runs pinned of %d made, want 168", n, len(s.results))
+	}
+
+	for _, g := range []struct {
+		name string
+		got  []byte
+	}{{"timing_runs.csv", runs.Bytes()}, {"timing_tables.csv", tables.Bytes()}} {
+		path := filepath.Join("testdata", g.name)
+		if *update {
+			if err := os.WriteFile(path, g.got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("rewrote %s", path)
+			continue
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("%v (regenerate with -update)", err)
+		}
+		if !bytes.Equal(g.got, want) {
+			gl, wl := bytes.Split(g.got, []byte("\n")), bytes.Split(want, []byte("\n"))
+			for i := 0; i < len(gl) || i < len(wl); i++ {
+				var a, b []byte
+				if i < len(gl) {
+					a = gl[i]
+				}
+				if i < len(wl) {
+					b = wl[i]
+				}
+				if !bytes.Equal(a, b) {
+					t.Errorf("%s line %d drifted; if intended, rerun with -update\ngot:  %s\nwant: %s",
+						path, i+1, a, b)
+					break
+				}
+			}
+		}
 	}
 }
