@@ -422,3 +422,22 @@ func TestStoreBlocksConflictingLoadNotOthers(t *testing.T) {
 		t.Errorf("same-address load (%d cycles) should wait longer than disjoint (%d)", same.Cycles, diff.Cycles)
 	}
 }
+
+func TestYoungerWriterDoesNotReleaseOlderConsumer(t *testing.T) {
+	// r1 = a 100-cycle load; r2 = r1; r1 = a constant; then a 40-op chain
+	// on r2. The copy must wait for the load even though a younger
+	// instruction overwrites r1 before the load completes, so dataflow
+	// alone needs 100 + 40 cycles.
+	insts := []isa.Inst{
+		{Op: isa.OpLoad, Dest: 1, Src1: isa.NoReg, Src2: isa.NoReg, Addr: 0x100, PC: 0},
+		alu(2, 1, isa.NoReg, 4),
+		alu(1, isa.NoReg, isa.NoReg, 8),
+	}
+	for i := int32(0); i < 40; i++ {
+		insts = append(insts, alu(3+i, 2+i, isa.NoReg, mach.Addr(12+4*i)))
+	}
+	res := run(t, insts, newPerfect(100))
+	if res.Cycles < 140 {
+		t.Errorf("took %d cycles, dataflow needs at least 140: the copy issued before its producer completed", res.Cycles)
+	}
+}
