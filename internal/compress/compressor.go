@@ -107,10 +107,6 @@ func Schemes() []string { return append([]string(nil), schemeOrder...) }
 // Default returns the paper's reference scheme.
 func Default() Compressor { return paperScheme{} }
 
-// Paper returns the paper's reference scheme (alias of Default, reads
-// better at call sites that mean it specifically).
-func Paper() Compressor { return paperScheme{} }
-
 // Get resolves a scheme name case-insensitively; the empty string means
 // the default (paper) scheme.
 func Get(name string) (Compressor, error) {

@@ -51,13 +51,3 @@ func (g LineGeom) Validate() error {
 
 // IsPow2 reports whether v is a power of two (and nonzero).
 func IsPow2(v int) bool { return v > 0 && v&(v-1) == 0 }
-
-// Log2 returns floor(log2(v)) for v > 0.
-func Log2(v int) int {
-	n := 0
-	for v > 1 {
-		v >>= 1
-		n++
-	}
-	return n
-}

@@ -72,12 +72,3 @@ func TestIsPow2(t *testing.T) {
 		}
 	}
 }
-
-func TestLog2(t *testing.T) {
-	cases := map[int]int{1: 0, 2: 1, 4: 2, 8: 3, 1024: 10, 3: 1, 5: 2}
-	for in, want := range cases {
-		if got := Log2(in); got != want {
-			t.Errorf("Log2(%d) = %d, want %d", in, got, want)
-		}
-	}
-}

@@ -52,19 +52,6 @@ func New() *Memory {
 	return &Memory{lastKey: noPage}
 }
 
-// Reset drops every written page, returning the memory to all-zeros while
-// keeping the top-level table for reuse. It is equivalent to New but lets
-// long-lived callers (benchmark harnesses, pooled simulations) avoid
-// re-zeroing the root.
-func (m *Memory) Reset() {
-	for i := range m.root {
-		m.root[i] = nil
-	}
-	m.lastKey = noPage
-	m.last = nil
-	m.touched = 0
-}
-
 // lookup returns the page with the given page number, or nil.
 func (m *Memory) lookup(key mach.Addr) *page {
 	l := m.root[key>>leafBits]

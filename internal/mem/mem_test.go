@@ -213,30 +213,6 @@ func TestLineStraddlesLeafBoundary(t *testing.T) {
 	}
 }
 
-func TestResetReuse(t *testing.T) {
-	m := New()
-	m.WriteWord(0x1000, 1)
-	m.WriteWord(0xFFFF_F000, 2)
-	if m.PagesTouched() != 2 {
-		t.Fatalf("PagesTouched = %d before reset", m.PagesTouched())
-	}
-	m.Reset()
-	if m.PagesTouched() != 0 {
-		t.Errorf("PagesTouched = %d after Reset, want 0", m.PagesTouched())
-	}
-	if got := m.ReadWord(0x1000); got != 0 {
-		t.Errorf("post-Reset read = %d, want 0", got)
-	}
-	// The memory must be fully usable again.
-	m.WriteWord(0x1000, 77)
-	if got := m.ReadWord(0x1000); got != 77 {
-		t.Errorf("post-Reset write/read = %d, want 77", got)
-	}
-	if m.PagesTouched() != 1 {
-		t.Errorf("PagesTouched = %d after rewrite, want 1", m.PagesTouched())
-	}
-}
-
 func TestLastPageCacheInvalidation(t *testing.T) {
 	// Alternate between two pages so the last-page cache repeatedly
 	// invalidates; values must never bleed between pages.

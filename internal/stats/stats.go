@@ -6,7 +6,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
 
@@ -99,19 +98,6 @@ func (t *Table) Get(row, col string) float64 {
 		panic(fmt.Sprintf("stats: unknown cell (%q, %q) in table %q", row, col, t.Title))
 	}
 	return t.Cells[ri][ci]
-}
-
-// Col returns a copy of the named column's values.
-func (t *Table) Col(name string) []float64 {
-	ci := t.ColIndex(name)
-	if ci < 0 {
-		panic(fmt.Sprintf("stats: unknown column %q", name))
-	}
-	out := make([]float64, len(t.Rows))
-	for i := range t.Rows {
-		out[i] = t.Cells[i][ci]
-	}
-	return out
 }
 
 // Normalized returns a new table with every row divided by that row's
@@ -227,21 +213,4 @@ func (t *Table) CSV() string {
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// SortedRows returns a copy of the table with rows sorted by name, for
-// stable output regardless of construction order.
-func (t *Table) SortedRows() *Table {
-	idx := make([]int, len(t.Rows))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return t.Rows[idx[a]] < t.Rows[idx[b]] })
-	out := NewTable(t.Title, nil, t.Cols)
-	out.Note = t.Note
-	for _, i := range idx {
-		out.Rows = append(out.Rows, t.Rows[i])
-		out.Cells = append(out.Cells, append([]float64(nil), t.Cells[i]...))
-	}
-	return out
 }

@@ -64,9 +64,6 @@ func TestTableSetGet(t *testing.T) {
 	if got := tab.Get("a", "CPP"); got != 5 {
 		t.Errorf("Get = %v", got)
 	}
-	if got := tab.Col("BC"); got[0] != 10 || got[1] != 4 {
-		t.Errorf("Col = %v", got)
-	}
 	defer func() {
 		if recover() == nil {
 			t.Error("Get of unknown cell did not panic")
@@ -118,16 +115,6 @@ func TestStringAndCSV(t *testing.T) {
 	}
 	if !strings.Contains(csv, "a,10,5") {
 		t.Errorf("CSV rows: %q", csv)
-	}
-}
-
-func TestSortedRows(t *testing.T) {
-	tab := NewTable("x", []string{"zz", "aa"}, []string{"c"})
-	tab.Set("zz", "c", 1)
-	tab.Set("aa", "c", 2)
-	s := tab.SortedRows()
-	if s.Rows[0] != "aa" || s.Get("aa", "c") != 2 {
-		t.Errorf("sorted = %v", s.Rows)
 	}
 }
 

@@ -36,9 +36,6 @@ func (o *Oracle) Read(a mach.Addr) mach.Word {
 	return o.words[mach.WordAlign(a)]
 }
 
-// Len returns the number of tracked words.
-func (o *Oracle) Len() int { return len(o.words) }
-
 // Each calls fn for every tracked word in unspecified order.
 func (o *Oracle) Each(fn func(a mach.Addr, v mach.Word)) {
 	for a, v := range o.words {
