@@ -50,30 +50,47 @@ const (
 var cpackBits = [...]int{cpZZZZ: 2, cpZZZX: 12, cpMMMM: 6, cpMMMX: 16, cpMMXX: 24, cpXXXX: 34}
 
 // cpackClassify matches w against the patterns and the first n dictionary
-// entries: an exact entry wins (mmmm); otherwise the first 3-byte match
-// (mmmx), else the first 2-byte match (mmxx), else raw.
-func cpackClassify(w mach.Word, dict *[cpackDictEntries]mach.Word, n int) (kind, idx int) {
+// entries: an exact entry wins (mmmm); otherwise a 3-byte match (mmmx),
+// else a 2-byte match (mmxx), else raw. The class follows from the
+// smallest XOR of w with an entry: 0 is a full match, below 0x100 the
+// high three bytes match, below 0x1_0000 the high two do.
+func cpackClassify(w mach.Word, dict *[cpackDictEntries]mach.Word, n int) int {
 	if w == 0 {
-		return cpZZZZ, 0
+		return cpZZZZ
 	}
 	if w&0xFFFF_FF00 == 0 {
-		return cpZZZX, 0
+		return cpZZZX
 	}
-	kind = cpXXXX
-	for i := 0; i < n; i++ {
-		d := dict[i]
-		if d == w {
-			return cpMMMM, i
-		}
-		if kind != cpMMMX {
-			if d&0xFFFF_FF00 == w&0xFFFF_FF00 {
-				kind, idx = cpMMMX, i
-			} else if kind == cpXXXX && d&0xFFFF_0000 == w&0xFFFF_0000 {
-				kind, idx = cpMMXX, i
-			}
+	x := ^mach.Word(0)
+	for _, d := range dict[:n] {
+		x = min(x, d^w)
+	}
+	switch {
+	case x == 0:
+		return cpMMMM
+	case x < 0x100:
+		return cpMMMX
+	case x < 0x1_0000:
+		return cpMMXX
+	}
+	return cpXXXX
+}
+
+// cpackMatchXOR bounds the XOR of a word with the entry its class
+// matches; the classes that encode no index have none.
+var cpackMatchXOR = [...]mach.Word{cpMMMM: 1, cpMMMX: 0x100, cpMMXX: 0x1_0000, cpXXXX: 0}
+
+// cpackMatch returns the dictionary index a word of the given class
+// encodes: the first of the n entries that matches it that closely (0
+// for the classes without an index).
+func cpackMatch(kind int, w mach.Word, dict *[cpackDictEntries]mach.Word, n int) int {
+	limit := cpackMatchXOR[kind]
+	for i, d := range dict[:n] {
+		if d^w < limit {
+			return i
 		}
 	}
-	return kind, idx
+	return 0
 }
 
 // cpackPushes reports whether a word of the given class enters the
@@ -82,20 +99,21 @@ func cpackPushes(kind int) bool { return kind != cpZZZZ && kind != cpZZZX }
 
 // cpackScan walks the line through the classifier, maintaining the
 // dictionary, and returns the total encoded bit count. emit, when
-// non-nil, receives each word's classification in order.
+// non-nil, receives each word's classification and match index in order;
+// sizing alone never looks an index up.
 func cpackScan(words []mach.Word, emit func(kind, idx int, w mach.Word)) int {
 	var dict [cpackDictEntries]mach.Word
 	n, bits := 0, 0
 	for _, w := range words {
-		kind, idx := cpackClassify(w, &dict, n)
+		kind := cpackClassify(w, &dict, n)
+		if emit != nil {
+			emit(kind, cpackMatch(kind, w, &dict, n), w)
+		}
 		if cpackPushes(kind) && n < cpackDictEntries {
 			dict[n] = w
 			n++
 		}
 		bits += cpackBits[kind]
-		if emit != nil {
-			emit(kind, idx, w)
-		}
 	}
 	return bits
 }

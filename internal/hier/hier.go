@@ -190,9 +190,10 @@ func (h *Standard) l2Writeback(ev cache.Evicted) {
 	h.memWriteback(base, ev.Data)
 }
 
-// fillL2 installs an L2 line fetched from memory, handling the victim.
-func (h *Standard) fillL2(a mach.Addr, data []mach.Word) {
-	ev := h.l2.Fill(a, data)
+// fillL2 installs an L2 line fetched from memory, handling the victim,
+// and returns the installed line.
+func (h *Standard) fillL2(a mach.Addr, data []mach.Word) *cache.Line {
+	l, ev := h.l2.Fill(a, data)
 	if ev.Valid {
 		h.obs.Event(obs.EvEvictL2, h.g2.NumberToAddr(ev.Tag), evDirtyAux(ev.Dirty))
 	}
@@ -201,6 +202,7 @@ func (h *Standard) fillL2(a mach.Addr, data []mach.Word) {
 		h.memWriteback(h.g2.NumberToAddr(ev.Tag), ev.Data)
 	}
 	h.obs.Event(obs.EvFillL2, h.g2.LineAddr(a), int64(h.g2.Words()))
+	return l
 }
 
 // evDirtyAux renders an eviction's dirty flag as an event-aux value.
@@ -211,9 +213,10 @@ func evDirtyAux(dirty bool) int64 {
 	return 0
 }
 
-// fetchIntoL1 brings the L1 line holding a into L1 and returns the total
-// access latency. The L1 miss has already been counted by the caller.
-func (h *Standard) fetchIntoL1(a mach.Addr) int {
+// fetchIntoL1 brings the L1 line holding a into L1 and returns it with
+// the total access latency. The L1 miss has already been counted by the
+// caller.
+func (h *Standard) fetchIntoL1(a mach.Addr) (*cache.Line, int) {
 	if h.fault != nil {
 		h.fault("std.fetch-l1")
 	}
@@ -222,14 +225,11 @@ func (h *Standard) fetchIntoL1(a mach.Addr) int {
 	l2line := h.l2.Access(a)
 	if l2line == nil {
 		h.stats.L2.Misses++
-		h.fillL2(a, h.memFetchL2(a))
-		l2line = h.l2.Probe(a)
+		l2line = h.fillL2(a, h.memFetchL2(a))
 		lat = h.cfg.Lat.Mem
 	}
 	base := h.g1.LineAddr(a)
-	off := h.g2.WordIndex(base)
-	window := l2line.Data[off : off+h.g1.Words()]
-	ev := h.l1.Fill(a, window)
+	l, ev := h.l1.Fill(a, h.l2Window(l2line, base))
 	if ev.Valid {
 		h.obs.Event(obs.EvEvictL1, h.g1.NumberToAddr(ev.Tag), evDirtyAux(ev.Dirty))
 	}
@@ -237,54 +237,62 @@ func (h *Standard) fetchIntoL1(a mach.Addr) int {
 		h.l2Writeback(ev)
 	}
 	h.obs.Event(obs.EvFillL1, base, int64(h.g1.Words()))
-	return lat
+	return l, lat
+}
+
+// l2Window returns the words of L2 line l2line that make up the L1 line
+// at base.
+func (h *Standard) l2Window(l2line *cache.Line, base mach.Addr) []mach.Word {
+	off := h.g2.WordIndex(base)
+	return l2line.Data[off : off+h.g1.Words()]
+}
+
+// use performs a demand read or write of the word at a on resident L1
+// line l. A write marks the line dirty and returns 0.
+func (h *Standard) use(l *cache.Line, a mach.Addr, write bool, v mach.Word) mach.Word {
+	w := h.g1.WordIndex(a)
+	if write {
+		l.Data[w] = v
+		l.Dirty = true
+		return 0
+	}
+	return l.Data[w]
+}
+
+// access is the shared demand read/write path: one L1 tag search on a
+// hit, and the filled line used in place on a miss.
+func (h *Standard) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
+	a = mach.WordAlign(a)
+	h.stats.L1.Accesses++
+	if l := h.l1.Access(a); l != nil {
+		return h.use(l, a, write, v), h.cfg.Lat.L1Hit
+	}
+	h.stats.L1.Misses++
+	h.obs.AttrMiss(a)
+	l, lat := h.fetchIntoL1(a)
+	return h.use(l, a, write, v), lat
 }
 
 // Read implements memsys.System.
-func (h *Standard) Read(a mach.Addr) (mach.Word, int) {
-	a = mach.WordAlign(a)
-	h.stats.L1.Accesses++
-	if v, ok := h.l1.ReadWord(a); ok {
-		return v, h.cfg.Lat.L1Hit
-	}
-	h.stats.L1.Misses++
-	h.obs.AttrMiss(a)
-	lat := h.fetchIntoL1(a)
-	v, ok := h.l1.ReadWord(a)
-	if !ok {
-		panic("hier: word absent after fill")
-	}
-	return v, lat
-}
+func (h *Standard) Read(a mach.Addr) (mach.Word, int) { return h.access(a, false, 0) }
 
 // Write implements memsys.System.
 func (h *Standard) Write(a mach.Addr, v mach.Word) int {
-	a = mach.WordAlign(a)
-	h.stats.L1.Accesses++
-	if h.l1.WriteWord(a, v) {
-		return h.cfg.Lat.L1Hit
-	}
-	h.stats.L1.Misses++
-	h.obs.AttrMiss(a)
-	lat := h.fetchIntoL1(a)
-	if !h.l1.WriteWord(a, v) {
-		panic("hier: word absent after fill on write")
-	}
+	_, lat := h.access(a, true, v)
 	return lat
 }
 
 // Drain flushes every dirty line down to memory. Used by tests to compare
 // the hierarchy's final state against a reference memory image.
 func (h *Standard) Drain() {
-	h.l1.Lines(func(_ int, l *cache.Line) {
+	h.l1.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			h.mem.WriteLine(l.Addr(h.g1), l.Data) // bypass traffic accounting: diagnostic flush
+			h.mem.WriteLine(base, l.Data) // bypass traffic accounting: diagnostic flush
 			l.Dirty = false
 		}
 	})
-	h.l2.Lines(func(_ int, l *cache.Line) {
+	h.l2.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			base := l.Addr(h.g2)
 			// L1 held fresher data for any line it owned; only write L2
 			// words whose line is not dirty in L1. The L1 pass above
 			// already cleaned those, so a straight write is stale for

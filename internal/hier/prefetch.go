@@ -43,13 +43,10 @@ type Prefetch struct {
 	pf1  *cache.Cache // holds L1-sized lines
 	pf2  *cache.Cache // holds L2-sized lines
 
-	// Line-sized scratch buffers for buffer-hit moves and prefetch
-	// sourcing. cache.Fill copies its data argument before returning, so
-	// handing it a scratch slice is safe, and reusing the two slices keeps
-	// the prefetch path allocation-free in steady state (it used to
-	// allocate three line copies per miss, ~19 k allocations per run).
-	scr1 []mach.Word // one L1 line
-	scr2 []mach.Word // one L2 line
+	// scr2 is a line-sized scratch buffer that stages one L2 line read
+	// from memory for the L2 prefetch buffer; pf2.Fill copies it, so one
+	// buffer serves every prefetch.
+	scr2 []mach.Word
 }
 
 var _ memsys.System = (*Prefetch)(nil)
@@ -81,59 +78,43 @@ func NewPrefetch(cfg PrefetchConfig, m *mem.Memory) (*Prefetch, error) {
 	}
 	return &Prefetch{
 		Standard: *std, pcfg: cfg, pf1: pf1, pf2: pf2,
-		scr1: make([]mach.Word, std.g1.Words()),
 		scr2: make([]mach.Word, std.g2.Words()),
 	}, nil
 }
 
 // access is the shared demand read/write path; write performs the store
-// after the line is resident.
+// after the line is resident. An L1 hit costs one tag search.
 func (h *Prefetch) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
 	a = mach.WordAlign(a)
 	h.stats.L1.Accesses++
-
-	finish := func(lat int) (mach.Word, int) {
-		if write {
-			if !h.l1.WriteWord(a, v) {
-				panic("hier: word absent after prefetch fill on write")
-			}
-			return 0, lat
-		}
-		rv, ok := h.l1.ReadWord(a)
-		if !ok {
-			panic("hier: word absent after prefetch fill")
-		}
-		return rv, lat
-	}
-
-	if h.l1.Probe(a) != nil {
-		h.l1.Access(a) // LRU touch
-		return finish(h.cfg.Lat.L1Hit)
+	if l := h.l1.Access(a); l != nil {
+		return h.use(l, a, write, v), h.cfg.Lat.L1Hit
 	}
 
 	// L1 prefetch-buffer hit: move the line into the cache; not a miss.
-	if buf := h.pf1.Probe(a); buf != nil {
+	// The invalidated buffer line's words stay put until pf1's next
+	// Fill, so the L1 fill copies them straight out of the buffer.
+	if buf := h.pf1.Invalidate(a); buf.Valid {
 		h.stats.PfBufHitsL1++
 		h.obs.Event(obs.EvPfBufHit, h.g1.LineAddr(a), 1)
-		copy(h.scr1, buf.Data)
-		h.pf1.Invalidate(a)
-		if ev := h.l1.Fill(a, h.scr1); ev.Valid && ev.Dirty {
+		l, ev := h.l1.Fill(a, buf.Data)
+		if ev.Valid && ev.Dirty {
 			h.l2Writeback(ev)
 			h.dropStaleBuffers(h.g1.NumberToAddr(ev.Tag))
 		}
 		// Strict prefetch-on-miss (§2.2): a buffer hit is not a miss, so
 		// it does not trigger another prefetch.
-		return finish(h.cfg.Lat.L1Hit)
+		return h.use(l, a, write, v), h.cfg.Lat.L1Hit
 	}
 
 	// Demand miss.
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
-	lat := h.fetchIntoL1WithBuffers(a)
+	l, lat := h.fetchIntoL1WithBuffers(a)
 	for d := 1; d <= h.degree(); d++ {
 		h.prefetchL1(h.g1.LineAddr(a) + mach.Addr(d*h.g1.LineBytes))
 	}
-	return finish(lat)
+	return h.use(l, a, write, v), lat
 }
 
 // Read implements memsys.System.
@@ -146,38 +127,32 @@ func (h *Prefetch) Write(a mach.Addr, v mach.Word) int {
 }
 
 // fetchIntoL1WithBuffers is fetchIntoL1 with an L2 prefetch-buffer check
-// and L2-level next-line prefetching.
-func (h *Prefetch) fetchIntoL1WithBuffers(a mach.Addr) int {
+// and L2-level next-line prefetching. It returns the filled L1 line.
+func (h *Prefetch) fetchIntoL1WithBuffers(a mach.Addr) (*cache.Line, int) {
 	h.stats.L2.Accesses++
 	lat := h.cfg.Lat.L2Hit
 	l2line := h.l2.Access(a)
 	if l2line == nil {
-		if buf := h.pf2.Probe(a); buf != nil {
+		if buf := h.pf2.Invalidate(a); buf.Valid {
 			// L2 prefetch-buffer hit: move into the L2 cache.
 			h.stats.PfBufHitsL2++
 			h.obs.Event(obs.EvPfBufHit, h.g2.LineAddr(a), 2)
-			copy(h.scr2, buf.Data)
-			h.pf2.Invalidate(a)
-			h.fillL2(a, h.scr2)
-			l2line = h.l2.Probe(a)
+			l2line = h.fillL2(a, buf.Data)
 		} else {
 			h.stats.L2.Misses++
-			h.fillL2(a, h.memFetchL2(a))
-			l2line = h.l2.Probe(a)
+			l2line = h.fillL2(a, h.memFetchL2(a))
 			lat = h.cfg.Lat.Mem
 			for d := 1; d <= h.degree(); d++ {
 				h.prefetchL2(h.g2.LineAddr(a) + mach.Addr(d*h.g2.LineBytes))
 			}
 		}
 	}
-	base := h.g1.LineAddr(a)
-	off := h.g2.WordIndex(base)
-	window := l2line.Data[off : off+h.g1.Words()]
-	if ev := h.l1.Fill(a, window); ev.Valid && ev.Dirty {
+	l, ev := h.l1.Fill(a, h.l2Window(l2line, h.g1.LineAddr(a)))
+	if ev.Valid && ev.Dirty {
 		h.l2Writeback(ev)
 		h.dropStaleBuffers(h.g1.NumberToAddr(ev.Tag))
 	}
-	return lat
+	return l, lat
 }
 
 // prefetchL1 brings the line at base into the L1 prefetch buffer. Like a
@@ -190,31 +165,23 @@ func (h *Prefetch) prefetchL1(base mach.Addr) {
 	if h.l1.Probe(base) != nil || h.pf1.Probe(base) != nil {
 		return
 	}
-	words := h.scr1
-	if l2line := h.l2.Probe(base); l2line != nil {
-		off := h.g2.WordIndex(base)
-		copy(words, l2line.Data[off:off+h.g1.Words()])
-	} else if buf := h.pf2.Probe(base); buf != nil {
-		// Promote the buffered L2 line into the L2 cache so the L2
-		// stays authoritative for every line the L1 can hold.
-		copy(h.scr2, buf.Data)
-		h.pf2.Invalidate(base)
-		h.fillL2(base, h.scr2)
-		off := h.g2.WordIndex(base)
-		copy(words, h.scr2[off:off+h.g1.Words()])
-	} else {
-		// Prefetch through: fetch the containing L2 line from memory
-		// into the L2, then buffer the L1 line. These speculative line
-		// fetches are where BCP's large traffic increase comes from
-		// (the paper reports ~80% more traffic on average).
-		h.fillL2(base, h.memFetchL2(base))
-		l2line := h.l2.Probe(base)
-		off := h.g2.WordIndex(base)
-		copy(words, l2line.Data[off:off+h.g1.Words()])
+	l2line := h.l2.Probe(base)
+	if l2line == nil {
+		if buf := h.pf2.Invalidate(base); buf.Valid {
+			// Promote the buffered L2 line into the L2 cache so the L2
+			// stays authoritative for every line the L1 can hold.
+			l2line = h.fillL2(base, buf.Data)
+		} else {
+			// Prefetch through: fetch the containing L2 line from memory
+			// into the L2, then buffer the L1 line. These speculative
+			// line fetches are where BCP's large traffic increase comes
+			// from (the paper reports ~80% more traffic on average).
+			l2line = h.fillL2(base, h.memFetchL2(base))
+		}
 	}
 	h.stats.PfIssuedL1++
 	h.obs.Event(obs.EvPfIssue, base, 1)
-	h.pf1.Fill(base, words)
+	h.pf1.Fill(base, h.l2Window(l2line, base))
 }
 
 // prefetchL2 brings the L2 line at base into the L2 prefetch buffer from

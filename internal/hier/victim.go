@@ -57,72 +57,47 @@ func NewVictim(cfg VictimConfig, m *mem.Memory) (*Victim, error) {
 	return &Victim{Standard: *std, vcfg: cfg, vc: vc}, nil
 }
 
-// access is the shared read/write path.
+// access is the shared read/write path. An L1 hit costs one tag search.
 func (h *Victim) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
 	a = mach.WordAlign(a)
 	h.stats.L1.Accesses++
-
-	finish := func(lat int) (mach.Word, int) {
-		if write {
-			if !h.l1.WriteWord(a, v) {
-				panic("hier: word absent after victim fill on write")
-			}
-			return 0, lat
-		}
-		rv, ok := h.l1.ReadWord(a)
-		if !ok {
-			panic("hier: word absent after victim fill")
-		}
-		return rv, lat
-	}
-
-	if h.l1.Probe(a) != nil {
-		h.l1.Access(a)
-		return finish(h.cfg.Lat.L1Hit)
+	if l := h.l1.Access(a); l != nil {
+		return h.use(l, a, write, v), h.cfg.Lat.L1Hit
 	}
 
 	// Victim-cache hit: swap the line back into the L1. Jouppi charges
 	// one extra cycle for the swap; we use the affiliated-hit latency,
-	// which models the same "next cycle" penalty.
-	if buf := h.vc.Probe(a); buf != nil {
+	// which models the same "next cycle" penalty. The invalidated entry's
+	// words stay put until the victim cache's next Fill, so the L1 fill
+	// copies them straight out of it.
+	if buf := h.vc.Invalidate(a); buf.Valid {
 		h.stats.PfBufHitsL1++ // reuse the buffer-hit counter for VC hits
-		data := append([]mach.Word(nil), buf.Data...)
-		dirty := buf.Dirty
-		h.vc.Invalidate(a)
-		ev := h.l1.Fill(a, data)
-		if dirty {
-			if l := h.l1.Probe(a); l != nil {
-				l.Dirty = true
-			}
-		}
+		l, ev := h.l1.Fill(a, buf.Data)
+		l.Dirty = buf.Dirty
 		h.spill(ev)
-		return finish(h.cfg.Lat.AffHit)
+		return h.use(l, a, write, v), h.cfg.Lat.AffHit
 	}
 
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
-	lat := h.fetchIntoL1Victim(a)
-	return finish(lat)
+	l, lat := h.fetchIntoL1Victim(a)
+	return h.use(l, a, write, v), lat
 }
 
 // fetchIntoL1Victim is Standard.fetchIntoL1 with victim-cache spill
-// instead of direct write-back.
-func (h *Victim) fetchIntoL1Victim(a mach.Addr) int {
+// instead of direct write-back. It returns the filled L1 line.
+func (h *Victim) fetchIntoL1Victim(a mach.Addr) (*cache.Line, int) {
 	h.stats.L2.Accesses++
 	lat := h.cfg.Lat.L2Hit
 	l2line := h.l2.Access(a)
 	if l2line == nil {
 		h.stats.L2.Misses++
-		h.fillL2(a, h.memFetchL2(a))
-		l2line = h.l2.Probe(a)
+		l2line = h.fillL2(a, h.memFetchL2(a))
 		lat = h.cfg.Lat.Mem
 	}
-	base := h.g1.LineAddr(a)
-	off := h.g2.WordIndex(base)
-	window := l2line.Data[off : off+h.g1.Words()]
-	ev := h.l1.Fill(a, window)
+	l, ev := h.l1.Fill(a, h.l2Window(l2line, h.g1.LineAddr(a)))
 	h.spill(ev)
-	return lat
+	return l, lat
 }
 
 // spill places an evicted L1 line into the victim cache; whatever the
@@ -131,11 +106,8 @@ func (h *Victim) spill(ev cache.Evicted) {
 	if !ev.Valid {
 		return
 	}
-	base := h.g1.NumberToAddr(ev.Tag)
-	out := h.vc.Fill(base, ev.Data)
-	if l := h.vc.Probe(base); l != nil && ev.Dirty {
-		l.Dirty = true
-	}
+	l, out := h.vc.Fill(h.g1.NumberToAddr(ev.Tag), ev.Data)
+	l.Dirty = ev.Dirty
 	if out.Valid && out.Dirty {
 		h.l2Writeback(out)
 	}
@@ -156,9 +128,9 @@ func (h *Victim) Write(a mach.Addr, v mach.Word) int {
 // drain writes out.
 func (h *Victim) Drain() {
 	h.Standard.Drain()
-	h.vc.Lines(func(_ int, l *cache.Line) {
+	h.vc.Lines(func(base mach.Addr, l *cache.Line) {
 		if l.Dirty {
-			h.mem.WriteLine(l.Addr(h.g1), l.Data)
+			h.mem.WriteLine(base, l.Data)
 			l.Dirty = false
 		}
 	})

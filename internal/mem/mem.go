@@ -9,8 +9,9 @@
 // Pages are reached through a two-level radix table over the 20-bit page
 // number (10 root bits, 10 leaf bits) rather than a hash map, so the
 // per-word path is two array indexations with no hashing; a last-page
-// cache short-circuits even those for the common same-page access runs
-// that cache-line fills and write-backs produce.
+// cache short-circuits even those for runs of word accesses to one page.
+// Line reads and writes look their page up once and move the line with
+// one copy.
 package mem
 
 import "cppcache/internal/mach"
@@ -109,37 +110,32 @@ func (m *Memory) WriteWord(a mach.Addr, v mach.Word) {
 
 // ReadLine fills dst with the n=len(dst) consecutive words starting at the
 // word-aligned address a. The line may span page boundaries, and addresses
-// wrap modulo 2^32 like every Addr computation.
+// wrap modulo 2^32 like every Addr computation. Each page the line touches
+// costs one lookup and one copy; an aligned cache line lies in one page.
 func (m *Memory) ReadLine(a mach.Addr, dst []mach.Word) {
 	a = mach.WordAlign(a)
-	key := noPage
-	var p *page
-	for i := range dst {
-		ai := a + mach.Addr(i*mach.WordBytes)
-		if k := ai >> pageShift; k != key {
-			key = k
-			p = m.lookup(k)
-		}
-		if p == nil {
-			dst[i] = 0
+	for len(dst) > 0 {
+		off := int(a&pageMask) / mach.WordBytes
+		n := min(len(dst), pageWords-off)
+		if p := m.lookup(a >> pageShift); p != nil {
+			copy(dst[:n], p[off:])
 		} else {
-			dst[i] = p[(ai&pageMask)/mach.WordBytes]
+			clear(dst[:n])
 		}
+		dst = dst[n:]
+		a += mach.Addr(n * mach.WordBytes)
 	}
 }
 
-// WriteLine stores the words of src at consecutive addresses from a.
+// WriteLine stores the words of src at consecutive addresses from a, one
+// page at a time like ReadLine.
 func (m *Memory) WriteLine(a mach.Addr, src []mach.Word) {
 	a = mach.WordAlign(a)
-	key := noPage
-	var p *page
-	for i, v := range src {
-		ai := a + mach.Addr(i*mach.WordBytes)
-		if k := ai >> pageShift; k != key {
-			key = k
-			p = m.create(k)
-		}
-		p[(ai&pageMask)/mach.WordBytes] = v
+	for len(src) > 0 {
+		off := int(a&pageMask) / mach.WordBytes
+		n := copy(m.create(a >> pageShift)[off:], src)
+		src = src[n:]
+		a += mach.Addr(n * mach.WordBytes)
 	}
 }
 
