@@ -3,11 +3,15 @@
 // sim-outorder (§4.1, Figure 9).
 //
 // The model covers the structures that drive the paper's experiments: a
-// 4-wide fetch/issue/commit pipeline with a 16-entry instruction fetch
-// queue, a register-update-unit-style reorder buffer, an 8-entry
-// load/store queue with store-to-load forwarding, a bimodal branch
-// predictor, an instruction cache, the functional-unit mix of Figure 9,
-// and a data-cache hierarchy behind the memsys.System interface.
+// 4-wide issue/commit pipeline with a 16-entry instruction fetch queue, a
+// register-update-unit-style reorder buffer, an 8-entry load/store queue,
+// a bimodal branch predictor, an instruction cache, the functional-unit
+// mix of Figure 9, and a data-cache hierarchy behind the memsys.System
+// interface. Two sim-outorder behaviours are not modelled. The front end
+// refills the whole fetch queue in one cycle, whatever FetchWidth says.
+// And the load/store queue does not forward: a load to a word with an
+// older store in flight waits for that store to complete and then reads
+// the data cache.
 //
 // Scheduling is event-driven, like sim-outorder's RUU. Register
 // dependences come resolved from the decoded trace (each source names its
@@ -39,7 +43,7 @@ import (
 // Params configures the core. The zero value is not useful; start from
 // DefaultParams.
 type Params struct {
-	FetchWidth  int // instructions fetched per cycle
+	FetchWidth  int // Figure 9's fetch width; validated, not modelled: fetch refills the IFQ each cycle
 	IssueWidth  int // instructions issued per cycle (4, out-of-order)
 	CommitWidth int // instructions committed per cycle
 	IFQSize     int // instruction fetch queue entries (16)

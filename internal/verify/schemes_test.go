@@ -10,13 +10,17 @@ package verify
 // per-word codec, so there is nothing scheme-shaped to parameterize.
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"cppcache/internal/compress"
+	"cppcache/internal/isa"
 	"cppcache/internal/mach"
+	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
 	"cppcache/internal/sim"
+	"cppcache/internal/workload"
 )
 
 // schemeConfigs enumerates every (config, scheme) pair the simulator
@@ -250,5 +254,96 @@ func TestWorkloadStreamsPerScheme(t *testing.T) {
 				t.Fatal(d)
 			}
 		})
+	}
+}
+
+// TestSchemeSizingOnProgramData checks every scheme's size function
+// against its encoder on the data the programs write. Each scale-1
+// program's stores are replayed into a memory; at four checkpoints, and
+// at the end, every 32-word (L2) line written since the previous
+// checkpoint, and both of its 16-word (L1) halves, must size exactly as
+// the scheme's image and decode back to itself. Random lines rarely fill
+// a 16-entry C-Pack dictionary or fit a BDI delta mode; program data
+// does both, so the test also requires some lines to take a BDI delta
+// mode.
+func TestSchemeSizingOnProgramData(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays all 14 programs")
+	}
+	var schemes []compress.Compressor
+	for _, name := range compress.Schemes() {
+		c, err := compress.Get(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		schemes = append(schemes, c)
+	}
+	bdi, err := compress.Get("bdi")
+	if err != nil {
+		t.Fatal(err)
+	}
+	l1 := mach.LineGeom{LineBytes: 64}
+	l2 := mach.LineGeom{LineBytes: 128}
+	// The L2 line, then its two L1 halves, as (first word, words).
+	parts := [][2]int{{0, l2.Words()}, {0, l1.Words()}, {l1.Words(), l1.Words()}}
+	buf := make([]mach.Word, l2.Words())
+	out := make([]mach.Word, l2.Words())
+	lines, deltaLines := 0, 0
+	for _, name := range workload.Names() {
+		bm, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts := bm.Build(1).Insts()
+		m := mem.New()
+		written := map[mach.Addr]bool{} // L2 line bases
+		check := func() {
+			for base := range written {
+				m.ReadLine(base, buf)
+				for _, p := range parts {
+					words := buf[p[0] : p[0]+p[1]]
+					b := base + mach.Addr(p[0]*mach.WordBytes)
+					for _, c := range schemes {
+						enc := c.CompressLine(words, b)
+						if h := c.LineHalves(words, b); h != enc.Halves() {
+							t.Fatalf("%s: %s line %#x (%d words): LineHalves %d, image %d halves",
+								name, c.Name(), b, len(words), h, enc.Halves())
+						}
+						if err := c.DecompressLine(enc, b, out[:len(words)]); err != nil || !slices.Equal(out[:len(words)], words) {
+							t.Fatalf("%s: %s line %#x (%d words) does not decode back (%v)", name, c.Name(), b, len(words), err)
+						}
+						// A BDI image starts with its 4-bit selector;
+						// selectors 2 to 7 are the base-delta modes.
+						if sel := enc.Bits[0] & 0xF; c == bdi && sel >= 2 && sel <= 7 {
+							deltaLines++
+						}
+					}
+					lines++
+				}
+			}
+			clear(written)
+		}
+		stores := 0
+		for _, in := range insts {
+			if in.Op == isa.OpStore {
+				stores++
+			}
+		}
+		seen := 0
+		for _, in := range insts {
+			if in.Op != isa.OpStore {
+				continue
+			}
+			m.WriteWord(in.Addr, in.Value)
+			written[l2.LineAddr(in.Addr)] = true
+			if seen++; seen%(stores/4+1) == 0 {
+				check()
+			}
+		}
+		check()
+	}
+	t.Logf("%d lines checked, %d of them BDI base-delta", lines, deltaLines)
+	if deltaLines == 0 {
+		t.Error("no program line took a BDI base-delta mode")
 	}
 }
