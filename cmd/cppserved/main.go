@@ -21,9 +21,7 @@
 // Supervision knobs: -max-runs bounds concurrent simulations, -max-queue
 // the admission wait queue (beyond it POST /runs gets 429), -retain the
 // kept terminal runs, and -snap-ring the per-run snapshot history.
-// Per-run deadlines come from the RunSpec "timeout_sec" field. -chaos
-// enables the seeded fault-injection API (RunSpec "chaos" field) for
-// resilience drills.
+// Per-run deadlines come from the RunSpec "timeout_sec" field.
 //
 // -ledger enables the durable run ledger: every terminal run is appended
 // (fsync'd) to the given file, and on boot the file is replayed —
@@ -69,7 +67,6 @@ func main() {
 		maxQueue     = flag.Int("max-queue", serve.DefaultMaxQueue, "max queued runs before POST /runs gets 429")
 		retain       = flag.Int("retain", serve.DefaultRetain, "max terminal runs kept before eviction")
 		snapRing     = flag.Int("snap-ring", serve.DefaultSnapRing, "max interval snapshots retained per run")
-		allowChaos   = flag.Bool("chaos", false, "accept seeded fault-injection specs (RunSpec \"chaos\" field)")
 		ledgerPath   = flag.String("ledger", "", "append-only run ledger file (replayed on boot; empty disables persistence)")
 		memoEntries  = flag.Int("memo", 0, "spec-hash memo store size (0 disables memoization)")
 	)
@@ -98,7 +95,6 @@ func main() {
 		MaxQueue:    *maxQueue,
 		Retain:      *retain,
 		SnapRing:    *snapRing,
-		AllowChaos:  *allowChaos,
 		Ledger:      ledgerWriter,
 		MemoEntries: *memoEntries,
 	}, log)

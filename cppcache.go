@@ -189,14 +189,6 @@ type Options struct {
 	// run returns its Observation. nil attaches no recorder and returns a
 	// nil Observation. Attaching a recorder never changes results.
 	Observe *ObserveOptions
-	// FaultHook, when set, is invoked at the simulator's fault-injection
-	// points (every memory operation, every hierarchy fill) with a site
-	// label. It is the plumbing for the seeded chaos harness
-	// (internal/chaos): a hook that panics, stalls or cancels exercises
-	// the supervisor's failure isolation. The hook runs synchronously on
-	// the simulation goroutine; an inert hook never changes simulation
-	// results (test-enforced).
-	FaultHook func(site string)
 	// Span, when set, parents the run's lifecycle spans (workload.build
 	// with a decode cache hit/miss event, then the sim.* stage spans) on
 	// the caller's trace. nil traces nothing, at the cost of one branch
@@ -319,7 +311,7 @@ func RunProgram(ctx context.Context, p *Program, cfg CacheConfig, opts Options) 
 	if err != nil {
 		return Result{}, nil, err
 	}
-	so := sim.Options{Functional: opts.FunctionalOnly, Ctx: ctx, Fault: opts.FaultHook, Span: opts.Span}
+	so := sim.Options{Functional: opts.FunctionalOnly, Ctx: ctx, Span: opts.Span}
 	var ob *Observation
 	if oo := opts.Observe; oo != nil {
 		so.Recorder = obs.New(obs.Config{

@@ -76,11 +76,6 @@ type Hierarchy struct {
 	// compressibility counts; a nil recorder costs one branch per hook.
 	obs *obs.Recorder
 
-	// fault, when non-nil, is invoked at the hierarchy's fault-injection
-	// points (L1 fill, L2 install) with a site label; installed via
-	// SetFaultHook (inspect.go). nil costs one branch per miss.
-	fault func(site string)
-
 	// Per-access scratch, reused so the steady-state access path performs
 	// no heap allocation. Lifetimes are disjoint by construction: probeW
 	// and affW carry L1-sized transfers into l1.install; wbPl/wbAff carry
@@ -236,9 +231,6 @@ func (h *Hierarchy) writePrimaryWord(f *frame, w int, a mach.Addr, v mach.Word) 
 // access latency. needWord is the word index that must be available
 // afterwards.
 func (h *Hierarchy) fillL1(n mach.Addr, needWord int) (*frame, int) {
-	if h.fault != nil {
-		h.fault("cpp.fill-l1")
-	}
 	pl, lat := h.serveFromL2(n, needWord)
 
 	// Affiliated prefetch data for line n^Mask rides along for free where
@@ -345,9 +337,6 @@ func (h *Hierarchy) writebackL1Victim(ev *evicted) {
 // write-back and affiliated placement, and returns N's frame. Shared by
 // the memory-fetch and write-back-allocate paths.
 func (h *Hierarchy) installL2(N mach.Addr, pl, aff *window) *frame {
-	if h.fault != nil {
-		h.fault("cpp.install-l2")
-	}
 	var affBefore int64
 	if h.obs.TraceEnabled() {
 		affBefore = h.stats.AffWordsPrefetchedL2

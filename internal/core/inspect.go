@@ -10,18 +10,7 @@ import (
 // This file exports read-only views of the compression cache's internal
 // state for the differential-verification harness (internal/verify), plus
 // a fault injector its tests use to prove the invariant checkers detect
-// real corruption, plus the fault-hook installer the seeded chaos harness
-// (internal/chaos) uses to fire panics, stalls and cancellations at
-// deterministic hierarchy points. Nothing here is on the simulation hot
-// path.
-
-// SetFaultHook installs fn at the hierarchy's fault-injection points: it
-// is called with a site label on every L1 fill ("cpp.fill-l1") and L2
-// install ("cpp.install-l2"). nil removes the hook. The hook runs on the
-// simulation goroutine, synchronously inside the access, so a hook that
-// panics abandons the hierarchy mid-operation — callers that inject
-// panics must treat the hierarchy as unusable afterwards.
-func (h *Hierarchy) SetFaultHook(fn func(site string)) { h.fault = fn }
+// real corruption. Nothing here is on the simulation hot path.
 
 // levelCPC maps 1 -> L1, 2 -> L2, panicking on anything else (programming
 // error in a checker).

@@ -247,12 +247,6 @@ type Core struct {
 	// latency observations. The nil case costs one branch per hook.
 	obs *obs.Recorder
 
-	// fault, when non-nil, is invoked at the core's fault-injection point
-	// (once per issued memory operation) with a site label. The chaos
-	// harness uses it to trigger panics, stalls and cancellations at
-	// deterministic execution points; nil costs one branch per memory op.
-	fault func(site string)
-
 	// Preallocated pipeline state, reused across every cycle of Run. The
 	// ROB and IFQ hold consecutive trace indices, so both are rings
 	// indexed by trace index modulo their power-of-two length (at least
@@ -336,10 +330,6 @@ func New(p Params, d memsys.System) (*Core, error) {
 // SetRecorder attaches the observability recorder (nil detaches). Must be
 // called before Run.
 func (c *Core) SetRecorder(r *obs.Recorder) { c.obs = r }
-
-// SetFaultHook installs fn at the core's fault-injection point (nil
-// removes it). Must be called before Run.
-func (c *Core) SetFaultHook(fn func(site string)) { c.fault = fn }
 
 // cancelCheckEvery is the cadence, in scheduler iterations, of the
 // cooperative cancellation poll in RunContext. Each iteration advances
@@ -753,9 +743,6 @@ func (c *Core) execute(e *robEntry, cycle int64, res *Result) {
 			// The attribution profiler charges the hierarchy events of
 			// this access to the instruction's PC (attr.go).
 			c.obs.SetAccessPC(c.pcs[e.idx])
-		}
-		if c.fault != nil {
-			c.fault("cpu.mem-op")
 		}
 	}
 	switch e.op {

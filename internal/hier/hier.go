@@ -82,11 +82,6 @@ type Standard struct {
 	// compressibility counts; a nil recorder costs one branch per hook.
 	obs *obs.Recorder
 
-	// fault, when non-nil, is invoked at the hierarchy's fault-injection
-	// point (every L1 miss fetch) with a site label; the chaos harness
-	// (internal/chaos) installs it. nil costs one branch per miss.
-	fault func(site string)
-
 	// fetchBuf stages one L2 line fetched from memory; valid until the
 	// next memFetchL2. Every caller hands it straight to fillL2, which
 	// copies it into the cache frame.
@@ -132,11 +127,6 @@ func (h *Standard) SetRecorder(r *obs.Recorder) {
 	h.obs = r
 	r.AttachStats(&h.stats)
 }
-
-// SetFaultHook installs fn at the hierarchy's fault-injection point: it is
-// called with site "std.fetch-l1" on every L1 miss fetch. nil removes the
-// hook. Embedders (Prefetch, Victim) inherit it.
-func (h *Standard) SetFaultHook(fn func(site string)) { h.fault = fn }
 
 // Occupancies implements memsys.Inspector. With compressed transfers,
 // the L2 also reports its lines' compressed size under the scheme,
@@ -217,9 +207,6 @@ func evDirtyAux(dirty bool) int64 {
 // the total access latency. The L1 miss has already been counted by the
 // caller.
 func (h *Standard) fetchIntoL1(a mach.Addr) (*cache.Line, int) {
-	if h.fault != nil {
-		h.fault("std.fetch-l1")
-	}
 	h.stats.L2.Accesses++
 	lat := h.cfg.Lat.L2Hit
 	l2line := h.l2.Access(a)

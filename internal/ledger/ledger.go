@@ -54,7 +54,6 @@ type Record struct {
 	Functional bool   `json:"functional,omitempty"`
 
 	State string `json:"state"`
-	Chaos bool   `json:"chaos,omitempty"`
 	Panic bool   `json:"panic,omitempty"`
 	Error string `json:"error,omitempty"`
 

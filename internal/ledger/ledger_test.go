@@ -61,6 +61,66 @@ func TestAppendReplayRoundtrip(t *testing.T) {
 	}
 }
 
+// faultFlagLedger holds two framed records as cppserved wrote them while a
+// run spec could request fault injection: each carries that request's
+// flag, a key Record no longer has. Run 2 panicked; run 1 completed.
+const faultFlagLedger = `cppl1 603 fbbf9e47 {"schema":1,"run_id":2,"trace_id":"f59107120bdc3c821219077b2a5c0902","spec_hash":"b91d48664f9fb2064597d571cab653f565602e8170ef6f0db558f0b54cb9c694","workload":"olden.treeadd","config":"CPP","compressor":"paper","scale":1,"functional":true,"state":"failed","chaos":true,"panic":true,"error":"panic: chaos: injected panic at sim.op (hit 100, seed 0)","created":"2026-10-19T09:24:06.39366815Z","finished":"2026-10-19T09:24:06.415461903Z","gomaxprocs":2,"stage_seconds":{"admission":0.00009537,"execute":0.021773143,"queue":0.000020594,"run":0.021793737,"sim.build":0.00014141,"workload.build":0.014571249}}
+cppl1 707 d4b7f057 {"schema":1,"run_id":1,"trace_id":"9cfdb3eb767157aaeae412a6967f222c","spec_hash":"0d72a45ec8e467ac6cb7cd621ac748132877597fa96b702bc431f6ed3dd8db1f","result_digest":"e5ecb1b731bfe1785419d33d8056095a49fed06c29d16a996c3a2c1ea7253591","workload":"olden.treeadd","config":"CPP","compressor":"paper","scale":1,"functional":true,"state":"done","chaos":true,"created":"2026-10-19T09:24:06.381465247Z","finished":"2026-10-19T09:24:06.422987158Z","gomaxprocs":2,"stage_seconds":{"admission":0.000115518,"execute":0.041484091,"queue":0.000037809,"run":0.0415219,"sim.build":0.000070655,"sim.finish":0.000006998,"sim.run":0.01097184,"workload.build":0.03020592},"intervals":17,"l1_misses":6040,"traffic_words":121879.5}
+`
+
+// TestReplayIgnoresRetiredKey: a ledger whose records carry the retired
+// fault-injection flag still replays whole. The unknown key is ignored, no
+// line counts as damaged, and the rollup counts each record in its group.
+func TestReplayIgnoresRetiredKey(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "runs.ledger")
+	if err := os.WriteFile(path, []byte(faultFlagLedger), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	recs, stats, err := Replay(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats != (ReplayStats{Records: 2}) {
+		t.Fatalf("stats = %+v, want 2 records 0 skipped", stats)
+	}
+	failed, done := recs[0], recs[1]
+	if failed.RunID != 2 || failed.State != "failed" || !failed.Panic ||
+		!strings.HasPrefix(failed.Error, "panic: ") {
+		t.Errorf("failed record = %+v", failed)
+	}
+	if done.RunID != 1 || done.State != "done" || done.ResultDigest == "" ||
+		done.Intervals != 17 || done.L1Misses != 6040 || done.TrafficWords != 121879.5 {
+		t.Errorf("done record = %+v", done)
+	}
+
+	ro := NewRollup()
+	ro.AddAll(recs)
+	agg, err := ro.Aggregate(Filter{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if agg.TotalRuns != 2 || len(agg.Groups) != 2 {
+		t.Fatalf("aggregate: %d runs in %d groups, want 2 in 2", agg.TotalRuns, len(agg.Groups))
+	}
+	for _, g := range agg.Groups {
+		if g.Workload != "olden.treeadd" || g.Config != "CPP" || g.Compressor != "paper" || g.Runs != 1 {
+			t.Errorf("group %+v, want one olden.treeadd/CPP/paper run", g)
+		}
+		switch g.State {
+		case "done":
+			if g.Intervals != 17 || g.L1Misses != 6040 || g.TrafficWords != 121879.5 || g.Panics != 0 {
+				t.Errorf("done group = %+v", g)
+			}
+		case "failed":
+			if g.Panics != 1 {
+				t.Errorf("failed group = %+v", g)
+			}
+		default:
+			t.Errorf("unexpected group state %q", g.State)
+		}
+	}
+}
+
 func TestReplayMissingFileIsEmpty(t *testing.T) {
 	recs, stats, err := Replay(filepath.Join(t.TempDir(), "nope.ndjson"))
 	if err != nil || len(recs) != 0 || stats != (ReplayStats{}) {

@@ -190,7 +190,6 @@ type Group struct {
 
 	Runs         int64   `json:"runs"`
 	Panics       int64   `json:"panics,omitempty"`
-	ChaosRuns    int64   `json:"chaos_runs,omitempty"`
 	Memoized     int64   `json:"memoized,omitempty"`
 	Intervals    int64   `json:"intervals"`
 	Instructions int64   `json:"instructions"`
@@ -283,9 +282,6 @@ func (ro *Rollup) Aggregate(f Filter, dims ...string) (*Aggregate, error) {
 		g.Runs++
 		if r.Panic {
 			g.Panics++
-		}
-		if r.Chaos {
-			g.ChaosRuns++
 		}
 		if r.Memoized {
 			g.Memoized++

@@ -38,7 +38,6 @@ func fleetFixture() []Record {
 		mk(5, "olden.treeadd", "CPP", "paper", "canceled", 0, 0, 0, 0.001, 5*time.Minute),
 	}
 	recs[3].Panic = true
-	recs[4].Chaos = true
 	return recs
 }
 

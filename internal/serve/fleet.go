@@ -40,7 +40,6 @@ func (g *Registry) recordLocked(run *Run) ledger.Record {
 		Scale:        run.Spec.Scale,
 		Functional:   run.Spec.Functional,
 		State:        string(run.state),
-		Chaos:        run.Spec.Chaos != nil,
 		Memoized:     run.memoized,
 		MemoSource:   run.memoRun,
 		Panic:        strings.HasPrefix(run.errMsg, "panic:"),
@@ -60,11 +59,11 @@ func (g *Registry) recordLocked(run *Run) ledger.Record {
 		}
 	}
 
-	// A real, fault-free completion enters (or refreshes) the memo store;
-	// memoized runs never do — the chain always points at an execution.
-	// Digest drift against a prior entry for the same spec hash is a
-	// determinism violation worth shouting about.
-	if g.memo != nil && run.state == StateDone && !run.memoized && run.Spec.Chaos == nil &&
+	// A real completion enters (or refreshes) the memo store; memoized
+	// runs never do — the chain always points at an execution. Digest
+	// drift against a prior entry for the same spec hash is a determinism
+	// violation worth shouting about.
+	if g.memo != nil && run.state == StateDone && !run.memoized &&
 		run.result != nil && rec.ResultDigest != "" && rec.SpecHash != "" {
 		snaps, from := run.snapsFromLocked(0)
 		drift := g.memo.store(&memoEntry{

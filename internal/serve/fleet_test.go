@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"cppcache/internal/chaos"
 	"cppcache/internal/ledger"
 )
 
@@ -221,7 +220,11 @@ func TestTerminalRunAlreadyRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer w.Close()
-	reg := NewRegistryWith(Config{MaxRunning: 1, MemoEntries: 256, Ledger: w, AllowChaos: true}, nil)
+	reg := NewRegistryWith(Config{MaxRunning: 1, MemoEntries: 256, Ledger: w}, nil)
+	// Runs of faultWorkload stall and runs of health panic. Neither ever
+	// completes, so the memo never answers their specs.
+	injectFault(reg, faultWorkload, stall)
+	injectFault(reg, "olden.health", panicNow)
 	mustLaunch := func(spec RunSpec) *Run {
 		t.Helper()
 		run, err := reg.Launch(spec)
@@ -264,7 +267,7 @@ func TestTerminalRunAlreadyRecorded(t *testing.T) {
 		}
 	}
 
-	stall := &chaos.Spec{StallAfter: 1, StallMs: 30000}
+	stalled := RunSpec{Workload: "em3d", Functional: true, Scale: 1}
 	running := func(run *Run) {
 		t.Helper()
 		deadline := time.Now().Add(30 * time.Second)
@@ -277,13 +280,13 @@ func TestTerminalRunAlreadyRecorded(t *testing.T) {
 	}
 
 	// Failure: an injected panic and an expired deadline.
-	watch(mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1,
-		Chaos: &chaos.Spec{PanicAfter: 1}}), StateFailed)
-	watch(mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1,
-		TimeoutSec: 0.05, Chaos: stall}), StateFailed)
+	watch(mustLaunch(RunSpec{Workload: "health", Functional: true, Scale: 1}), StateFailed)
+	expiring := stalled
+	expiring.TimeoutSec = 0.05
+	watch(mustLaunch(expiring), StateFailed)
 
 	// Cancel while queued behind a stalled run, then cancel that run.
-	blocker := mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1, Chaos: stall})
+	blocker := mustLaunch(stalled)
 	queued := mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 2})
 	watch(blocker, StateCanceled)
 	watch(queued, StateCanceled)
@@ -297,7 +300,7 @@ func TestTerminalRunAlreadyRecorded(t *testing.T) {
 
 	// Drain: the queued run is canceled on the spot, the stalled one
 	// force-canceled when the cooperative window expires.
-	blocker = mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1, Chaos: stall})
+	blocker = mustLaunch(stalled)
 	queued = mustLaunch(RunSpec{Workload: "treeadd", Functional: true, Scale: 3})
 	watch(blocker, StateCanceled)
 	watch(queued, StateCanceled)

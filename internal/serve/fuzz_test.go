@@ -14,8 +14,8 @@ import (
 func FuzzRunSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"workload":"treeadd","config":"CPP","functional":true}`))
 	f.Add([]byte(`{"workload":"mst","scale":4096,"interval":1,"timeout_sec":3600}`))
-	f.Add([]byte(`{"workload":"em3d","chaos":{"seed":7,"panic_after":100}}`))
-	f.Add([]byte(`{"workload":"health","chaos":{"stall_after":1,"stall_ms":60000}}`))
+	f.Add([]byte(`{"workload":"em3d","config":"bcc","compressor":"bdi","attr":true,"halved":true}`))
+	f.Add([]byte(`{"workload":"health","panic_after":1}`))
 	f.Add([]byte(`{"workload":"treeadd","timeout_sec":-1e308}`))
 	f.Add([]byte(`{"workload":"","config":""}`))
 	f.Add([]byte(`{"scale":-9223372036854775808}`))
@@ -23,7 +23,6 @@ func FuzzRunSpecDecode(f *testing.F) {
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{`))
 
-	reg := NewRegistryWith(Config{AllowChaos: true}, nil)
 	f.Fuzz(func(t *testing.T, body []byte) {
 		var spec RunSpec
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -31,7 +30,7 @@ func FuzzRunSpecDecode(f *testing.F) {
 		if err := dec.Decode(&spec); err != nil {
 			return
 		}
-		norm, err := reg.normalize(spec)
+		norm, err := normalize(spec)
 		if err != nil {
 			if !strings.Contains(err.Error(), ":") {
 				t.Errorf("spec error %q lacks a field prefix", err)
@@ -49,11 +48,6 @@ func FuzzRunSpecDecode(f *testing.F) {
 		}
 		if norm.TimeoutSec < 0 || norm.TimeoutSec > MaxTimeoutSec {
 			t.Errorf("timeout_sec %g escaped bounds", norm.TimeoutSec)
-		}
-		if norm.Chaos != nil {
-			if err := norm.Chaos.Validate(); err != nil {
-				t.Errorf("invalid chaos spec admitted: %v", err)
-			}
 		}
 	})
 }

@@ -88,9 +88,9 @@ func TestReadyzReasons(t *testing.T) {
 // TestLaunchBackpressureRetryAfter: both 429 (queue full) and 503
 // (draining) advise a one-second Retry-After.
 func TestLaunchBackpressureRetryAfter(t *testing.T) {
-	ts, reg := newTestServerWith(t, Config{MaxRunning: 1, MaxQueue: 1, AllowChaos: true})
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1, MaxQueue: 1}, stall)
 	// Stall the slot and fill the queue.
-	launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1,"chaos":{"stall_after":1,"stall_ms":30000}}`)
+	launch(t, ts, stallSpec(""))
 	launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":2}`)
 
 	post := func() *http.Response {

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"cppcache"
-	"cppcache/internal/chaos"
 	"cppcache/internal/obs"
 )
 
@@ -20,8 +19,9 @@ import (
 // (queued → running → {done, failed, canceled}), cancellation while
 // queued, deadline expiry mid-run, panic isolation mid-run, admission
 // backpressure, snapshot-ring drop accounting, retention eviction, and
-// the fault-isolation guarantee that a chaotic neighbour never perturbs a
-// healthy run. All of these hold under -race (CI runs this package with
+// the fault-isolation guarantee that a panicking neighbour never perturbs
+// a healthy run. Faults fire inside the real simulation through
+// injectFault. All of these hold under -race (CI runs this package with
 // it).
 
 // newServerWith builds a test server over a registry with explicit limits.
@@ -34,11 +34,59 @@ func newServerWith(t *testing.T, cfg Config) (*httptest.Server, *Registry, *Serv
 	return ts, reg, srv
 }
 
-// stallSpec launches a run parked by a chaos stall at its first fault
-// point: deterministically long-running until canceled or timed out.
+// faultWorkload is the workload whose runs the test faults strike; the
+// healthy runs beside them use other workloads.
+const faultWorkload = "olden.em3d"
+
+// injectFault wraps reg's simulation so that every run of workload calls
+// fault with the run's context, on the simulation goroutine, right after
+// publishing its first interval snapshot. A fault that returns lets the
+// simulation go on, so a canceled context ends it at the simulator's next
+// cooperative poll; a fault that panics is caught by the registry's
+// recovery. Install faults before the first launch.
+func injectFault(reg *Registry, workload string, fault func(ctx context.Context)) {
+	simulate := reg.simulate
+	reg.simulate = func(ctx context.Context, bench string, cfg cppcache.CacheConfig, opts cppcache.Options) (cppcache.Result, *cppcache.Observation, error) {
+		if bench == workload {
+			observe := *opts.Observe
+			publish, fired := observe.OnSnapshot, false
+			observe.OnSnapshot = func(s obs.Snapshot) {
+				publish(s)
+				if !fired {
+					fired = true
+					fault(ctx)
+				}
+			}
+			opts.Observe = &observe
+		}
+		return simulate(ctx, bench, cfg, opts)
+	}
+}
+
+// stall parks a run until its context ends: DELETE, its deadline or a
+// drain.
+func stall(ctx context.Context) { <-ctx.Done() }
+
+// injectedPanic is the value panicNow raises.
+const injectedPanic = "injected fault"
+
+func panicNow(context.Context) { panic(injectedPanic) }
+
+// newFaultServer builds a test server over a registry whose runs of
+// faultWorkload fire fault, installed before the server takes requests.
+func newFaultServer(t *testing.T, cfg Config, fault func(context.Context)) (*httptest.Server, *Registry) {
+	t.Helper()
+	reg := NewRegistryWith(cfg, nil)
+	injectFault(reg, faultWorkload, fault)
+	ts := httptest.NewServer(NewServer(reg, nil))
+	t.Cleanup(ts.Close)
+	return ts, reg
+}
+
+// stallSpec is a run of faultWorkload: under a stall fault it runs until
+// canceled or timed out.
 func stallSpec(extra string) string {
-	return `{"workload":"treeadd","config":"CPP","functional":true,"scale":1,` +
-		`"chaos":{"stall_after":1,"stall_ms":60000}` + extra + `}`
+	return `{"workload":"em3d","config":"CPP","functional":true,"scale":1` + extra + `}`
 }
 
 // waitState polls until the run reaches the wanted state.
@@ -83,11 +131,11 @@ func del(t *testing.T, ts *httptest.Server, id int) int {
 	return resp.StatusCode
 }
 
-// TestCancelRunningRun: DELETE on a running (chaos-stalled) job moves it
-// to canceled promptly — the stall aborts on context cancellation and the
+// TestCancelRunningRun: DELETE on a running (stalled) job moves it to
+// canceled promptly — the stall ends on context cancellation and the
 // simulator's cooperative check fires.
 func TestCancelRunningRun(t *testing.T) {
-	ts, _, _ := newServerWith(t, Config{AllowChaos: true})
+	ts, _ := newFaultServer(t, Config{}, stall)
 	st := launch(t, ts, stallSpec(""))
 	waitState(t, ts, st.ID, StateRunning)
 	if code := del(t, ts, st.ID); code != http.StatusAccepted {
@@ -110,7 +158,7 @@ func TestCancelRunningRun(t *testing.T) {
 // a queued run can be canceled before it ever starts; the stalled run is
 // then canceled too and the queue drains.
 func TestCancelWhileQueued(t *testing.T) {
-	ts, reg, _ := newServerWith(t, Config{MaxRunning: 1, AllowChaos: true})
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1}, stall)
 	first := launch(t, ts, stallSpec(""))
 	waitState(t, ts, first.ID, StateRunning)
 	second := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
@@ -137,10 +185,10 @@ func TestCancelWhileQueued(t *testing.T) {
 	}
 }
 
-// TestDeadlineExpiryMidRun: a chaos-stalled run with a tiny timeout_sec
-// fails with a deadline message instead of hogging its worker forever.
+// TestDeadlineExpiryMidRun: a stalled run with a tiny timeout_sec fails
+// with a deadline message instead of hogging its worker forever.
 func TestDeadlineExpiryMidRun(t *testing.T) {
-	ts, _, _ := newServerWith(t, Config{AllowChaos: true})
+	ts, _ := newFaultServer(t, Config{}, stall)
 	st := launch(t, ts, stallSpec(`,"timeout_sec":0.2`))
 	final := waitDone(t, ts, st.ID)
 	if final.State != StateFailed {
@@ -155,15 +203,15 @@ func TestDeadlineExpiryMidRun(t *testing.T) {
 // the stack captured, the panic counter ticks, and the service keeps
 // serving — a concurrently launched healthy run still completes.
 func TestPanicMidRunIsIsolated(t *testing.T) {
-	ts, reg, _ := newServerWith(t, Config{AllowChaos: true})
-	bad := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1,"chaos":{"panic_after":30}}`)
+	ts, reg := newFaultServer(t, Config{}, panicNow)
+	bad := launch(t, ts, `{"workload":"em3d","functional":true,"scale":1}`)
 	good := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
 
 	badFinal := waitDone(t, ts, bad.ID)
 	if badFinal.State != StateFailed {
 		t.Fatalf("panicked run state = %s, want failed", badFinal.State)
 	}
-	if !strings.Contains(badFinal.Error, "panic: chaos: injected panic") ||
+	if !strings.Contains(badFinal.Error, "panic: "+injectedPanic) ||
 		!strings.Contains(badFinal.Error, "goroutine") {
 		t.Errorf("panicked run error missing panic message or stack:\n%.300s", badFinal.Error)
 	}
@@ -173,6 +221,11 @@ func TestPanicMidRunIsIsolated(t *testing.T) {
 	if c := reg.Counters(); c.PanicsRecovered != 1 {
 		t.Errorf("panics recovered = %d, want 1", c.PanicsRecovered)
 	}
+	wantMetrics(t, ts, map[string]float64{
+		"cppserved_panics_recovered_total": 1,
+		`cppserved_runs{state="failed"}`:   1,
+		`cppserved_runs{state="done"}`:     1,
+	})
 	resp, err := http.Get(ts.URL + "/healthz")
 	if err != nil || resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz after panic: %v / %v", resp, err)
@@ -184,7 +237,7 @@ func TestPanicMidRunIsIsolated(t *testing.T) {
 // queued runs, POST /runs is 429 with Retry-After; capacity freed by
 // cancellation admits work again.
 func TestAdmissionBackpressure(t *testing.T) {
-	ts, reg, _ := newServerWith(t, Config{MaxRunning: 1, MaxQueue: 1, AllowChaos: true})
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1, MaxQueue: 1}, stall)
 	first := launch(t, ts, stallSpec(""))
 	waitState(t, ts, first.ID, StateRunning)
 	second := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
@@ -213,6 +266,32 @@ func TestAdmissionBackpressure(t *testing.T) {
 	third := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
 	if got := waitDone(t, ts, third.ID); got.State != StateDone {
 		t.Fatalf("post-backpressure launch: %s", got.State)
+	}
+	// Every admitted run is accounted for on the wire, the rejected one
+	// only by the queue_full counter.
+	wantMetrics(t, ts, map[string]float64{
+		`cppserved_runs{state="queued"}`:                       0,
+		`cppserved_runs{state="running"}`:                      0,
+		`cppserved_runs{state="done"}`:                         2,
+		`cppserved_runs{state="failed"}`:                       0,
+		`cppserved_runs{state="canceled"}`:                     1,
+		`cppserved_launch_rejected_total{reason="queue_full"}`: 1,
+		"cppserved_queue_depth":                                0,
+	})
+}
+
+// wantMetrics scrapes /metrics and checks each listed series' value.
+func wantMetrics(t *testing.T, ts *httptest.Server, want map[string]float64) {
+	t.Helper()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := parseExposition(t, readAll(t, resp))
+	for series, v := range want {
+		if g, ok := got[series]; !ok || g != v {
+			t.Errorf("%s = %v (present %v), want %v", series, g, ok, v)
+		}
 	}
 }
 
@@ -289,11 +368,11 @@ func TestRetentionEviction(t *testing.T) {
 	}
 }
 
-// TestChaosNeighbourDoesNotPerturbHealthyRun is the isolation guarantee:
-// a healthy run sharing the registry with a panicking chaos run produces
-// results and a snapshot series byte-identical to the same spec run solo
-// through the library API.
-func TestChaosNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
+// TestPanickingNeighbourDoesNotPerturbHealthyRun is the isolation
+// guarantee: a healthy run sharing the registry with a panicking run
+// produces results and a snapshot series byte-identical to the same spec
+// run solo through the library API.
+func TestPanickingNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
 	const interval = 5000
 	baseRes, baseObs, err := cppcache.Run(context.Background(), "olden.treeadd", cppcache.CPP,
 		cppcache.Options{Scale: 1, FunctionalOnly: true, Observe: &cppcache.ObserveOptions{IntervalCycles: interval}})
@@ -301,11 +380,11 @@ func TestChaosNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ts, reg, _ := newServerWith(t, Config{MaxRunning: 2, AllowChaos: true})
-	bad := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1,"chaos":{"panic_after":10}}`)
+	ts, reg := newFaultServer(t, Config{MaxRunning: 2}, panicNow)
+	bad := launch(t, ts, `{"workload":"em3d","functional":true,"scale":1}`)
 	good := launch(t, ts, fmt.Sprintf(`{"workload":"treeadd","functional":true,"scale":1,"interval":%d}`, interval))
 	if st := waitDone(t, ts, bad.ID); st.State != StateFailed {
-		t.Fatalf("chaos run state = %s", st.State)
+		t.Fatalf("panicking run state = %s", st.State)
 	}
 	final := waitDone(t, ts, good.ID)
 	if final.State != StateDone {
@@ -359,12 +438,12 @@ func TestSlowStreamConsumerDisconnected(t *testing.T) {
 // every remaining transition detail: queued runs carry no start time,
 // Cancel on unknown ids errors, and terminal states are sticky.
 func TestStateTransitionsDirect(t *testing.T) {
-	reg := NewRegistryWith(Config{MaxRunning: 1, AllowChaos: true}, nil)
+	reg := NewRegistryWith(Config{MaxRunning: 1}, nil)
+	injectFault(reg, faultWorkload, stall)
 	if err := reg.Cancel(42, ""); err == nil {
 		t.Error("Cancel(unknown) did not error")
 	}
-	run, err := reg.Launch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1,
-		Chaos: &chaos.Spec{StallAfter: 1, StallMs: 60000}})
+	run, err := reg.Launch(RunSpec{Workload: "em3d", Functional: true, Scale: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

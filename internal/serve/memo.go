@@ -70,8 +70,8 @@ func newMemoStore(max int) *memoStore {
 
 // lookup returns the full entry for hash, bumping its recency, or nil
 // when the hash is unknown or only index-seeded. It does NOT count a hit
-// or miss — admission owns the counting so bypassed lookups (nocache,
-// chaos) still conserve.
+// or miss — admission owns the counting so bypassed lookups (nocache)
+// still conserve.
 func (m *memoStore) lookup(hash string) *memoEntry {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -129,13 +129,12 @@ func (m *memoStore) store(e *memoEntry) (drift bool) {
 }
 
 // seed warm-starts the index from replayed ledger records: each done,
-// non-memoized, non-chaos record with a result digest becomes an
-// index-only entry (newer records win). It returns how many entries were
-// seeded.
+// non-memoized record with a result digest becomes an index-only entry
+// (newer records win). It returns how many entries were seeded.
 func (m *memoStore) seed(recs []ledger.Record) int {
 	n := 0
 	for _, rec := range recs {
-		if rec.State != string(StateDone) || rec.Memoized || rec.Chaos || rec.ResultDigest == "" || rec.SpecHash == "" {
+		if rec.State != string(StateDone) || rec.Memoized || rec.ResultDigest == "" || rec.SpecHash == "" {
 			continue
 		}
 		m.mu.Lock()

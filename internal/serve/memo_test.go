@@ -187,12 +187,11 @@ func TestMemoNocacheBypass(t *testing.T) {
 // the store. A canceled run of a spec must not answer later launches of
 // the same spec; once a real completion lands, later launches hit.
 func TestMemoNeverServesCanceledOrFailed(t *testing.T) {
-	// One execution slot, held by a chaos-stalled blocker, so the target
-	// spec sits in the queue where cancellation is immediate and
-	// deterministic (no timing races).
-	ts, reg := newTestServerWith(t, Config{MemoEntries: 8, MaxRunning: 1, AllowChaos: true})
-	blocker := launch(t, ts,
-		`{"workload":"mst","config":"CPP","functional":true,"scale":1,"chaos":{"stall_after":1,"stall_ms":30000}}`)
+	// One execution slot, held by a stalled blocker, so the target spec
+	// sits in the queue where cancellation is immediate and deterministic
+	// (no timing races).
+	ts, reg := newFaultServer(t, Config{MemoEntries: 8, MaxRunning: 1}, stall)
+	blocker := launch(t, ts, stallSpec(""))
 	spec := `{"workload":"mst","config":"CPP","functional":true,"scale":3}`
 
 	first := launch(t, ts, spec)
@@ -209,7 +208,7 @@ func TestMemoNeverServesCanceledOrFailed(t *testing.T) {
 	if firstFinal.State != StateCanceled {
 		t.Fatalf("queued run ended %s, want canceled", firstFinal.State)
 	}
-	// Release the slot: the stall aborts on context cancellation.
+	// Release the slot: the stall ends on context cancellation.
 	cancelRun(blocker.ID)
 	waitDone(t, ts, blocker.ID)
 

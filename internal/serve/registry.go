@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"cppcache"
-	"cppcache/internal/chaos"
 	"cppcache/internal/ledger"
 	"cppcache/internal/obs"
 	"cppcache/internal/span"
@@ -44,10 +43,6 @@ type RunSpec struct {
 	// dispatch (not from time spent queued). 0 = no per-run deadline. A
 	// run that exceeds it is terminated cooperatively and marked failed.
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
-	// Chaos requests deterministic fault injection for this run (panic,
-	// stall or self-cancel at seeded execution points). Only accepted
-	// when the registry was built with Config.AllowChaos.
-	Chaos *chaos.Spec `json:"chaos,omitempty"`
 }
 
 // DefaultInterval is the snapshot cadence when RunSpec.Interval is 0. Every
@@ -201,9 +196,6 @@ type Config struct {
 	// Retain bounds retained terminal runs; the oldest are evicted (and
 	// counted) beyond it. 0 = DefaultRetain.
 	Retain int
-	// AllowChaos accepts RunSpec.Chaos fault-injection requests. Off by
-	// default: chaos is an operator tool, not a public API.
-	AllowChaos bool
 	// Ledger, when non-nil, receives one durable record per terminal run
 	// (fsync'd append). Nil disables persistence; the in-memory fleet
 	// rollup is always maintained.
@@ -268,6 +260,11 @@ type Registry struct {
 	cfg Config
 	log *slog.Logger
 
+	// simulate executes one run; NewRegistryWith sets it to cppcache.Run.
+	// Tests wrap it to stall, panic or cancel a run from inside the real
+	// simulation.
+	simulate func(context.Context, string, cppcache.CacheConfig, cppcache.Options) (cppcache.Result, *cppcache.Observation, error)
+
 	// stages aggregates span durations per stage across every run, the
 	// source of the cppserved_stage_seconds histogram family.
 	stages stageSet
@@ -314,12 +311,13 @@ func NewRegistryWith(cfg Config, log *slog.Logger) *Registry {
 	}
 	cfg = cfg.withDefaults()
 	g := &Registry{
-		cfg:   cfg,
-		log:   log,
-		runs:  make(map[int]*Run),
-		busy:  make([]bool, cfg.MaxRunning),
-		next:  1,
-		fleet: ledger.NewRollup(),
+		cfg:      cfg,
+		log:      log,
+		simulate: cppcache.Run,
+		runs:     make(map[int]*Run),
+		busy:     make([]bool, cfg.MaxRunning),
+		next:     1,
+		fleet:    ledger.NewRollup(),
 	}
 	if cfg.MemoEntries > 0 {
 		g.memo = newMemoStore(cfg.MemoEntries)
@@ -357,7 +355,7 @@ func (g *Registry) Readiness() (ready bool, reason string) {
 // normalize validates and canonicalises a spec, resolving workload
 // suffixes and upper-casing the configuration. Violations come back as
 // *SpecError (HTTP 400).
-func (g *Registry) normalize(spec RunSpec) (RunSpec, error) {
+func normalize(spec RunSpec) (RunSpec, error) {
 	if spec.Workload == "" {
 		return spec, specErrorf("workload", "workload is required")
 	}
@@ -395,14 +393,6 @@ func (g *Registry) normalize(spec RunSpec) (RunSpec, error) {
 	if spec.TimeoutSec < 0 || spec.TimeoutSec > MaxTimeoutSec {
 		return spec, specErrorf("timeout_sec", "timeout_sec must be in [0, %d], got %g", MaxTimeoutSec, spec.TimeoutSec)
 	}
-	if spec.Chaos != nil {
-		if !g.cfg.AllowChaos {
-			return spec, specErrorf("chaos", "chaos injection is disabled (start cppserved with -chaos)")
-		}
-		if err := spec.Chaos.Validate(); err != nil {
-			return spec, specErrorf("chaos", "%v", err)
-		}
-	}
 	return spec, nil
 }
 
@@ -426,11 +416,10 @@ func (g *Registry) Launch(spec RunSpec) (*Run, error) {
 // a full memo entry matches the spec's content hash, the run is born
 // terminal (done) with the original's snapshots, totals, result and
 // profile — served in microseconds, no worker slot consumed, marked
-// memoized with the source run/trace IDs. Chaos runs never consult the
-// memo (fault injection must actually execute), and runs only enter the
-// store from real, fault-free completions.
+// memoized with the source run/trace IDs. Runs only enter the store from
+// real completions.
 func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
-	spec, err := g.normalize(spec)
+	spec, err := normalize(spec)
 	if err != nil {
 		return nil, err
 	}
@@ -442,7 +431,7 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 		g.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if g.memo != nil && specHash != "" && !opts.NoCache && spec.Chaos == nil {
+	if g.memo != nil && specHash != "" && !opts.NoCache {
 		if e := g.memo.lookup(specHash); e != nil {
 			// A hit bypasses admission control entirely: no slot, no queue
 			// capacity, just a terminal run built from the cached entry.
@@ -599,15 +588,14 @@ func (g *Registry) startLocked(run *Run) bool {
 		"config", run.Spec.Config, "compressor", run.Spec.Compressor,
 		"functional", run.Spec.Functional,
 		"interval", run.Spec.Interval, "attr", run.Spec.Attr,
-		"timeout_sec", run.Spec.TimeoutSec, "chaos", run.Spec.Chaos != nil)
+		"timeout_sec", run.Spec.TimeoutSec)
 	go g.execute(run, slot, ctx, cancel)
 	return true
 }
 
 // execute runs one simulation job to a terminal state. It owns the
-// goroutine: a panic anywhere below (simulator bugs, injected chaos) is
-// recovered into StateFailed with the captured stack, never a process
-// crash.
+// goroutine: a panic anywhere below is recovered into StateFailed with
+// the captured stack, never a process crash.
 func (g *Registry) execute(run *Run, slot int, ctx context.Context, cancel context.CancelFunc) {
 	start := time.Now()
 	defer g.pending.Done()
@@ -641,19 +629,7 @@ func (g *Registry) execute(run *Run, slot int, ctx context.Context, cancel conte
 		},
 		Span: run.execSp,
 	}
-	if spec.Chaos != nil && spec.Chaos.Active() {
-		inj := chaos.New(*spec.Chaos, ctx, func() {
-			run.setCancelCause("canceled by chaos injection")
-			cancel()
-		})
-		// Fault firings land on the execute span as events, so a panic or
-		// stall is attributable to the stage interval it interrupted.
-		inj.SetOnFire(func(what string) {
-			run.execSp.Event("chaos.fired", span.String("what", what))
-		})
-		opts.FaultHook = inj.Hook
-	}
-	res, ob, err := cppcache.Run(ctx, spec.Workload, cppcache.CacheConfig(spec.Config), opts)
+	res, ob, err := g.simulate(ctx, spec.Workload, cppcache.CacheConfig(spec.Config), opts)
 	switch {
 	case err == nil:
 		g.finish(run, StateRunning, func(r *Run) {
@@ -988,22 +964,13 @@ func (r *Run) endSpansLocked(at time.Time) {
 }
 
 // cancelLocked moves the run to canceled. A cause recorded earlier (by
-// DELETE, a drain or chaos) wins over cause. Callers hold r.mu.
+// DELETE or a drain) wins over cause. Callers hold r.mu.
 func (r *Run) cancelLocked(cause string) {
 	r.state = StateCanceled
 	if r.cancelCause == "" {
 		r.cancelCause = cause
 	}
 	r.errMsg = r.cancelCause
-}
-
-// setCancelCause records why a cancellation is about to happen.
-func (r *Run) setCancelCause(cause string) {
-	r.mu.Lock()
-	if r.cancelCause == "" {
-		r.cancelCause = cause
-	}
-	r.mu.Unlock()
 }
 
 // CancelCause returns the recorded cancellation cause ("" if none).

@@ -297,7 +297,6 @@ func TestLaunchValidation(t *testing.T) {
 		{`{"workload":"treeadd","interval":-5}`, http.StatusBadRequest},                     // bad interval
 		{`{"workload":"treeadd","timeout_sec":-1}`, http.StatusBadRequest},                  // bad timeout
 		{`{"workload":"treeadd","timeout_sec":1e6}`, http.StatusBadRequest},                 // absurd timeout
-		{`{"workload":"treeadd","chaos":{"panic_after":1}}`, http.StatusBadRequest},         // chaos disabled by default
 		{`{"workload":"treeadd","bogus":1}`, http.StatusBadRequest},                         // unknown field
 		{`not json`, http.StatusBadRequest},
 	}
@@ -444,8 +443,7 @@ func TestDrainRejectsNewRuns(t *testing.T) {
 // TestDefaultIntervalApplied checks that the registry forces snapshotting
 // so /metrics and the stream always have a series to serve.
 func TestDefaultIntervalApplied(t *testing.T) {
-	reg := NewRegistry(nil)
-	spec, err := reg.normalize(RunSpec{Workload: "treeadd"})
+	spec, err := normalize(RunSpec{Workload: "treeadd"})
 	if err != nil {
 		t.Fatal(err)
 	}

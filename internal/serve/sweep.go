@@ -341,7 +341,7 @@ func (g *Registry) expandSweep(spec SweepSpec) (children []*sweepChild, skipped 
 						Functional: spec.Functional, Interval: spec.Interval,
 						TimeoutSec: spec.TimeoutSec,
 					}
-					norm, nerr := g.normalize(rs)
+					norm, nerr := normalize(rs)
 					if nerr != nil {
 						skipped = append(skipped, skippedCombo{
 							Workload: wl, Config: cfg, Compressor: comp, Scale: scale,

@@ -220,9 +220,9 @@ func TestSweepTableDeterministic(t *testing.T) {
 // canceled; the table stays 409 until then and the terminal sweep rejects
 // a second cancel.
 func TestSweepCancelFansOut(t *testing.T) {
-	ts, reg := newTestServerWith(t, Config{MaxRunning: 1, AllowChaos: true})
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1}, stall)
 	// Park the only slot so every sweep child stays queued.
-	blocker := launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1,"chaos":{"stall_after":1,"stall_ms":30000}}`)
+	blocker := launch(t, ts, stallSpec(""))
 	defer reg.Cancel(blocker.ID, "test cleanup")
 
 	st := launchSweep(t, ts, `{
@@ -278,8 +278,8 @@ func TestSweepCancelFansOut(t *testing.T) {
 // the sweep ends done with degraded=true and a per-state rollup that
 // conserves against the child total.
 func TestSweepDegradedPartialFailure(t *testing.T) {
-	ts, reg := newTestServerWith(t, Config{MaxRunning: 1, AllowChaos: true})
-	blocker := launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1,"chaos":{"stall_after":1,"stall_ms":30000}}`)
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1}, stall)
+	blocker := launch(t, ts, stallSpec(""))
 
 	st := launchSweep(t, ts, `{
 		"workloads": ["mst"],
@@ -492,7 +492,7 @@ func TestSweepRowsMatchStandaloneRuns(t *testing.T) {
 // queue full, a sweep's children are turned away with ErrQueueFull; they
 // retry, and once the slot frees the sweep ends done, not degraded.
 func TestSweepRetriesFullQueue(t *testing.T) {
-	ts, reg := newTestServerWith(t, Config{MaxRunning: 1, MaxQueue: 1, AllowChaos: true})
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1, MaxQueue: 1}, stall)
 	blocker := launch(t, ts, stallSpec(""))
 	launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`) // fills the queue
 	st := launchSweep(t, ts, `{"workloads":["treeadd"],"configs":["BC","CPP"],"scales":[1],"functional":true}`)

@@ -210,12 +210,12 @@ func TestTraceEndpointFormats(t *testing.T) {
 	}
 }
 
-// TestTraceChaosFaultEvents: an injected fault lands on the execute span
-// as a chaos.fired event, so a panic is attributable to its stage; the
-// spans still close at the terminal instant.
-func TestTraceChaosFaultEvents(t *testing.T) {
-	ts, reg, _ := newServerWith(t, Config{AllowChaos: true})
-	st := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1,"chaos":{"panic_after":10}}`)
+// TestTracePanicEvent: a panic mid-run lands on the execute span as a
+// panic event, so it is attributable to its stage; the spans still close
+// at the terminal instant.
+func TestTracePanicEvent(t *testing.T) {
+	ts, reg := newFaultServer(t, Config{}, panicNow)
+	st := launch(t, ts, `{"workload":"em3d","functional":true,"scale":1}`)
 	final := waitDone(t, ts, st.ID)
 	if final.State != StateFailed {
 		t.Fatalf("state = %s, want failed", final.State)
@@ -226,20 +226,14 @@ func TestTraceChaosFaultEvents(t *testing.T) {
 	if !ok {
 		t.Fatal("no execute span")
 	}
-	var chaosFired, panicEv bool
+	var panicEv bool
 	for _, e := range exec.Events {
-		switch e.Name {
-		case "chaos.fired":
-			chaosFired = true
-			if len(e.Attrs) != 1 || e.Attrs[0].Key != "what" || !strings.HasPrefix(e.Attrs[0].Str, "panic@") {
-				t.Errorf("chaos.fired attrs = %+v", e.Attrs)
-			}
-		case "panic":
+		if e.Name == "panic" {
 			panicEv = true
 		}
 	}
-	if !chaosFired || !panicEv {
-		t.Errorf("execute events = %+v, want chaos.fired and panic", exec.Events)
+	if !panicEv {
+		t.Errorf("execute events = %+v, want panic", exec.Events)
 	}
 	for _, name := range []string{"run", "queue", "execute"} {
 		if byName[name].End.IsZero() {
@@ -256,7 +250,7 @@ func TestTraceChaosFaultEvents(t *testing.T) {
 // closes its queue and root spans at the terminal instant and never opens
 // an execute span.
 func TestTraceQueuedCanceledRun(t *testing.T) {
-	ts, reg, _ := newServerWith(t, Config{MaxRunning: 1, AllowChaos: true})
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1}, stall)
 	blocker := launch(t, ts, stallSpec(""))
 	waitState(t, ts, blocker.ID, StateRunning)
 	queued := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
@@ -491,7 +485,8 @@ func (b *syncBuffer) String() string {
 func TestLogCorrelation(t *testing.T) {
 	var buf syncBuffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	reg := NewRegistryWith(Config{MaxRunning: 1, AllowChaos: true}, logger)
+	reg := NewRegistryWith(Config{MaxRunning: 1}, logger)
+	injectFault(reg, faultWorkload, stall)
 	srv := NewServer(reg, logger)
 	ts := httptest.NewServer(srv)
 	defer ts.Close()

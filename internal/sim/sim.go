@@ -87,8 +87,7 @@ type Result struct {
 }
 
 // Options select what one run attaches. The zero value is a plain timing
-// run: full pipeline, no recorder, no cancellation, no fault hook and no
-// spans.
+// run: full pipeline, no recorder, no cancellation and no spans.
 type Options struct {
 	// Functional replays only the memory operations of the program, in
 	// program order, with no pipeline model. It is an order of magnitude
@@ -106,23 +105,11 @@ type Options struct {
 	// poll it every few thousand cycles/ops and abandon the run with
 	// ctx's error. nil means context.Background().
 	Ctx context.Context
-	// Fault, when non-nil, is invoked at the simulator's fault-injection
-	// points (hierarchy fills, per memory op) with a site label. The
-	// chaos harness (internal/chaos) uses it to fire panics, stalls and
-	// cancellations at deterministic execution points.
-	Fault func(site string)
 	// Span, when non-nil, parents the run's stage spans (sim.build,
 	// sim.run, sim.finish), making the wall-clock split between system
 	// construction, simulation and recorder teardown visible per run.
 	// nil records nothing.
 	Span *span.Span
-}
-
-// faultHookable is implemented by hierarchies that expose fault-injection
-// points (core.Hierarchy, hier.Standard); other systems simply skip the
-// hierarchy-level sites.
-type faultHookable interface {
-	SetFaultHook(func(site string))
 }
 
 // Run simulates the program on the named configuration, with full
@@ -156,13 +143,9 @@ func Run(p *workload.Program, config string, lat memsys.Latencies, o Options) (R
 			a.SetRecorder(rec)
 		}
 	}
-	if fh, ok := sys.(faultHookable); ok && o.Fault != nil {
-		fh.SetFaultHook(o.Fault)
-	}
 	rec.AttachMemPages(m.PagesTouched)
 	if c != nil {
 		c.SetRecorder(rec)
-		c.SetFaultHook(o.Fault)
 	}
 	build.End()
 
@@ -176,7 +159,7 @@ func Run(p *workload.Program, config string, lat memsys.Latencies, o Options) (R
 		res.CPU, err = c.RunContext(ctx, p.Decoded())
 		running.SetAttrs(span.Int("cycles", int64(res.CPU.Cycles)))
 		mismatches = res.CPU.ValueMismatches
-	} else if op, mismatches, err = replayMemOps(ctx, p, sys, rec, o.Fault); err == nil {
+	} else if op, mismatches, err = replayMemOps(ctx, p, sys, rec); err == nil {
 		running.SetAttrs(span.Int("ops", op))
 	}
 	running.End()
@@ -213,10 +196,9 @@ const funcCancelCheckEvery = 4096
 
 // replayMemOps is the functional loop: it replays the program's loads and
 // stores on sys in program order, polling ctx every funcCancelCheckEvery
-// ops and firing the fault hook once per memory op. It returns the ops
-// replayed, the loads that read back a wrong value and, when ctx was
-// canceled, ctx's error.
-func replayMemOps(ctx context.Context, p *workload.Program, sys memsys.System, rec *obs.Recorder, fault func(string)) (op, mismatches int64, err error) {
+// ops. It returns the ops replayed, the loads that read back a wrong
+// value and, when ctx was canceled, ctx's error.
+func replayMemOps(ctx context.Context, p *workload.Program, sys memsys.System, rec *obs.Recorder) (op, mismatches int64, err error) {
 	// Replay the shared pre-decoded trace. The functional loop touches
 	// only four of the record's eight fields, so the struct-of-arrays
 	// buffers keep every byte it reads hot and sequential.
@@ -234,17 +216,11 @@ func replayMemOps(ctx context.Context, p *workload.Program, sys memsys.System, r
 		switch ops[i] {
 		case isa.OpLoad:
 			rec.SetAccessPC(pcs[i])
-			if fault != nil {
-				fault("sim.op")
-			}
 			if v, _ := sys.Read(addrs[i]); v != values[i] {
 				mismatches++
 			}
 		case isa.OpStore:
 			rec.SetAccessPC(pcs[i])
-			if fault != nil {
-				fault("sim.op")
-			}
 			sys.Write(addrs[i], values[i])
 		}
 		op++

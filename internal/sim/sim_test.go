@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"context"
+	"errors"
 	"testing"
 
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
+	"cppcache/internal/obs"
 	"cppcache/internal/workload"
 )
 
@@ -134,5 +137,56 @@ func TestBCAndBCCSameTiming(t *testing.T) {
 	if bcc.Mem.MemTrafficWords() >= bc.Mem.MemTrafficWords() {
 		t.Errorf("BCC traffic %.0f not below BC %.0f",
 			bcc.Mem.MemTrafficWords(), bc.Mem.MemTrafficWords())
+	}
+}
+
+// TestCancelMidRun: a run whose context is canceled from inside the
+// simulation, at the recorder's first interval snapshot, ends with
+// context.Canceled at the next cooperative poll, long before the program
+// ends. It covers BC and CPP in functional and pipeline mode.
+func TestCancelMidRun(t *testing.T) {
+	bm, err := workload.ByName("olden.treeadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bm.Build(1)
+	const interval = 5000
+	// stopAt runs p and returns the time of its last snapshot: the cycle
+	// (the op, in functional mode) at which the run stopped.
+	stopAt := func(config string, functional, cancelAtSnapshot bool) (int64, error) {
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		rec := obs.New(obs.Config{Interval: interval, OnSnapshot: func(obs.Snapshot) {
+			if cancelAtSnapshot {
+				cancel()
+			}
+		}})
+		_, err := Run(p, config, memsys.DefaultLatencies(), Options{Functional: functional, Recorder: rec, Ctx: ctx})
+		snaps := rec.Snapshots()
+		return snaps[len(snaps)-1].Cycle, err
+	}
+	for _, config := range []string{"BC", "CPP"} {
+		for _, functional := range []bool{true, false} {
+			end, err := stopAt(config, functional, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stop, err := stopAt(config, functional, true)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s functional=%v: err = %v, want context.Canceled", config, functional, err)
+				continue
+			}
+			// The functional loop polls every funcCancelCheckEvery ops, so
+			// it stops at the first poll past the snapshot. The core polls
+			// every cancelCheckEvery scheduler iterations, each of which may
+			// skip idle cycles, so only "early" is pinned there.
+			if want := int64(interval/funcCancelCheckEvery+1) * funcCancelCheckEvery; functional && stop != want {
+				t.Errorf("%s functional: stopped at op %d, want %d", config, stop, want)
+			}
+			if stop < interval || stop >= end/4 {
+				t.Errorf("%s functional=%v: stopped at %d of %d, want in [%d, %d)",
+					config, functional, stop, end, interval, end/4)
+			}
+		}
 	}
 }

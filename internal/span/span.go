@@ -72,8 +72,8 @@ func Bool(key string, value bool) Attr {
 	return String(key, "false")
 }
 
-// Event is one point-in-time annotation on a span (a chaos fault firing,
-// a decode-cache hit, an SSE gap).
+// Event is one point-in-time annotation on a span (a recovered panic, a
+// decode-cache hit, an SSE gap).
 type Event struct {
 	Time  time.Time
 	Name  string
