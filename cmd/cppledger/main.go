@@ -6,18 +6,13 @@
 //
 //	cppledger -ledger runs.ledger
 //	cppledger -ledger runs.ledger -by workload,config -state done -json
-//	cppledger -ledger a.ledger -diff b.ledger -tol 0.05
 //
-// The first form prints the fleet rollup as a table (one row per
-// workload x config x compressor x state cell); -by collapses onto the
-// named dimensions and -workload/-config/-compressor/-state/-since/
-// -until/-window filter exactly like the /fleet query parameters. -json
-// emits the same aggregate JSON the server serves.
-//
-// -diff replays a second ledger and reports per-group drift (run counts,
-// panic counts, traffic per kilo-instruction, execute/queue latency)
-// beyond -tol. Exit status: 0 when the fleets agree within tolerance, 3
-// when drift was found, 1 on read errors, 2 on bad usage.
+// It prints the fleet rollup as a table (one row per workload x config x
+// compressor x state cell); -by collapses onto the named dimensions and
+// -workload/-config/-compressor/-state/-since/-until/-window filter
+// exactly like the /fleet query parameters. -json emits the same
+// aggregate JSON the server serves. Exit status: 0 on success, 1 on read
+// errors, 2 on bad usage.
 package main
 
 import (
@@ -28,7 +23,6 @@ import (
 	"sort"
 	"strings"
 	"text/tabwriter"
-	"time"
 
 	"cppcache/internal/ledger"
 )
@@ -36,8 +30,6 @@ import (
 func main() {
 	var (
 		path       = flag.String("ledger", "", "ledger file to replay (required)")
-		diffPath   = flag.String("diff", "", "second ledger to diff against -ledger")
-		tol        = flag.Float64("tol", 0.10, "relative drift tolerance for -diff")
 		by         = flag.String("by", "", "comma-separated grouping dimensions (default: all)")
 		workload   = flag.String("workload", "", "filter: workload")
 		config     = flag.String("config", "", "filter: cache configuration")
@@ -46,7 +38,7 @@ func main() {
 		since      = flag.String("since", "", "filter: records finished at or after this RFC3339 time")
 		until      = flag.String("until", "", "filter: records finished before this RFC3339 time")
 		window     = flag.String("window", "", "filter: relative window ending now (e.g. 24h; exclusive with -since/-until)")
-		jsonOut    = flag.Bool("json", false, "emit the aggregate (or drift list) as JSON")
+		jsonOut    = flag.Bool("json", false, "emit the aggregate as JSON")
 	)
 	flag.Parse()
 	if *path == "" {
@@ -59,13 +51,7 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *tol < 0 {
-		fmt.Fprintln(os.Stderr, "cppledger: -tol must be non-negative")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	f, err := buildFilter(*workload, *config, *compressor, *state, *since, *until, *window)
+	f, err := ledger.ParseFilter(*workload, *config, *compressor, *state, *since, *until, *window)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cppledger:", err)
 		flag.Usage()
@@ -84,41 +70,18 @@ func main() {
 		}
 	}
 
-	agg, stats, err := replayAggregate(*path, f, dims)
+	recs, stats, err := ledger.Replay(*path)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "cppledger: %s: %v\n", *path, err)
+		os.Exit(1)
+	}
+	ro := ledger.NewRollup()
+	ro.AddAll(recs)
+	agg, err := ro.Aggregate(f, dims...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "cppledger:", err)
 		os.Exit(1)
 	}
-
-	if *diffPath != "" {
-		aggB, statsB, err := replayAggregate(*diffPath, f, dims)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "cppledger:", err)
-			os.Exit(1)
-		}
-		drifts := ledger.DiffAggregates(agg, aggB, *tol)
-		if *jsonOut {
-			enc := json.NewEncoder(os.Stdout)
-			enc.SetIndent("", "  ")
-			enc.Encode(drifts)
-		} else {
-			fmt.Printf("%s: %d runs (%d skipped)\n%s: %d runs (%d skipped)\n",
-				*path, agg.TotalRuns, stats.Skipped, *diffPath, aggB.TotalRuns, statsB.Skipped)
-			if len(drifts) == 0 {
-				fmt.Printf("no drift beyond %.0f%% tolerance\n", *tol*100)
-			}
-			tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-			for _, d := range drifts {
-				fmt.Fprintf(tw, "%s\t%s\t%g\t%g\t%+.1f%%\n", d.Group, d.Metric, d.A, d.B, d.Rel*100)
-			}
-			tw.Flush()
-		}
-		if len(drifts) > 0 {
-			os.Exit(3)
-		}
-		return
-	}
-
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
@@ -126,53 +89,6 @@ func main() {
 		return
 	}
 	printAggregate(agg, stats)
-}
-
-// buildFilter assembles a ledger.Filter from the flag values, mirroring
-// the /fleet query parameter semantics.
-func buildFilter(workload, config, compressor, state, since, until, window string) (ledger.Filter, error) {
-	f := ledger.Filter{Workload: workload, Config: config, Compressor: compressor, State: state}
-	if since != "" {
-		t, err := time.Parse(time.RFC3339, since)
-		if err != nil {
-			return f, fmt.Errorf("bad -since %q: %v", since, err)
-		}
-		f.Since = t
-	}
-	if until != "" {
-		t, err := time.Parse(time.RFC3339, until)
-		if err != nil {
-			return f, fmt.Errorf("bad -until %q: %v", until, err)
-		}
-		f.Until = t
-	}
-	if window != "" {
-		if !f.Since.IsZero() || !f.Until.IsZero() {
-			return f, fmt.Errorf("-window is exclusive with -since/-until")
-		}
-		d, err := time.ParseDuration(window)
-		if err != nil || d <= 0 {
-			return f, fmt.Errorf("bad -window %q (want a positive Go duration like 24h)", window)
-		}
-		f.Since = time.Now().Add(-d)
-	}
-	return f, nil
-}
-
-// replayAggregate replays one ledger file into a fresh rollup and
-// aggregates it.
-func replayAggregate(path string, f ledger.Filter, dims []string) (*ledger.Aggregate, ledger.ReplayStats, error) {
-	recs, stats, err := ledger.Replay(path)
-	if err != nil {
-		return nil, stats, fmt.Errorf("%s: %v", path, err)
-	}
-	ro := ledger.NewRollup()
-	ro.AddAll(recs)
-	agg, err := ro.Aggregate(f, dims...)
-	if err != nil {
-		return nil, stats, err
-	}
-	return agg, stats, nil
 }
 
 // printAggregate renders the rollup as a table: one row per group, the

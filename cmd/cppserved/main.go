@@ -15,13 +15,14 @@
 //
 // SIGINT/SIGTERM trigger a graceful shutdown: the listener closes, no new
 // runs are accepted, queued jobs are canceled, and running jobs drain
-// cooperatively (up to -drain-timeout; stragglers are force-canceled
-// through their run contexts near the end of the window).
+// cooperatively (up to two minutes; stragglers are force-canceled through
+// their run contexts near the end of the window).
 //
-// Supervision knobs: -max-runs bounds concurrent simulations, -max-queue
-// the admission wait queue (beyond it POST /runs gets 429), -retain the
-// kept terminal runs, and -snap-ring the per-run snapshot history.
-// Per-run deadlines come from the RunSpec "timeout_sec" field.
+// Supervision knobs: -max-runs bounds concurrent simulations and
+// -max-queue the admission wait queue (beyond it POST /runs gets 429).
+// The server keeps the last 256 terminal runs and the last 4,096 interval
+// snapshots of each run. Per-run deadlines come from the RunSpec
+// "timeout_sec" field.
 //
 // -ledger enables the durable run ledger: every terminal run is appended
 // (fsync'd) to the given file, and on boot the file is replayed —
@@ -58,17 +59,17 @@ import (
 	"cppcache/internal/serve"
 )
 
+// drainTimeout is how long shutdown waits for running jobs.
+const drainTimeout = 2 * time.Minute
+
 func main() {
 	var (
-		addr         = flag.String("addr", "localhost:8077", "listen address (use :0 for an ephemeral port)")
-		addrFile     = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
-		drainTimeout = flag.Duration("drain-timeout", 2*time.Minute, "how long shutdown waits for running jobs")
-		maxRuns      = flag.Int("max-runs", serve.DefaultMaxRunning, "max concurrently executing simulations")
-		maxQueue     = flag.Int("max-queue", serve.DefaultMaxQueue, "max queued runs before POST /runs gets 429")
-		retain       = flag.Int("retain", serve.DefaultRetain, "max terminal runs kept before eviction")
-		snapRing     = flag.Int("snap-ring", serve.DefaultSnapRing, "max interval snapshots retained per run")
-		ledgerPath   = flag.String("ledger", "", "append-only run ledger file (replayed on boot; empty disables persistence)")
-		memoEntries  = flag.Int("memo", 0, "spec-hash memo store size (0 disables memoization)")
+		addr        = flag.String("addr", "localhost:8077", "listen address (use :0 for an ephemeral port)")
+		addrFile    = flag.String("addr-file", "", "write the bound address to this file once listening (for scripts using :0)")
+		maxRuns     = flag.Int("max-runs", serve.DefaultMaxRunning, "max concurrently executing simulations")
+		maxQueue    = flag.Int("max-queue", serve.DefaultMaxQueue, "max queued runs before POST /runs gets 429")
+		ledgerPath  = flag.String("ledger", "", "append-only run ledger file (replayed on boot; empty disables persistence)")
+		memoEntries = flag.Int("memo", 0, "spec-hash memo store size (0 disables memoization)")
 	)
 	flag.Parse()
 	if flag.NArg() > 0 {
@@ -93,8 +94,6 @@ func main() {
 	reg := serve.NewRegistryWith(serve.Config{
 		MaxRunning:  *maxRuns,
 		MaxQueue:    *maxQueue,
-		Retain:      *retain,
-		SnapRing:    *snapRing,
 		Ledger:      ledgerWriter,
 		MemoEntries: *memoEntries,
 	}, log)
@@ -134,11 +133,11 @@ func main() {
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
-	// Boot replay, after the listener is already answering: /healthz says
-	// live, /readyz says 503 booting. The replay tolerates a torn tail; a
-	// run racing it to completion is vanishingly unlikely (replay is
-	// milliseconds, simulations are not) and at worst double-counts that
-	// one record in the in-memory rollup until restart.
+	// Boot replay, after the listener is already answering: /readyz says
+	// 503 booting. The replay tolerates a torn tail; a run racing it to
+	// completion is vanishingly unlikely (replay is milliseconds,
+	// simulations are not) and at worst double-counts that one record in
+	// the in-memory rollup until restart.
 	if *ledgerPath != "" {
 		recs, stats, err := ledger.Replay(*ledgerPath)
 		if err != nil {
@@ -156,18 +155,18 @@ func main() {
 
 	select {
 	case <-ctx.Done():
-		log.Info("shutting down", "drain_timeout", *drainTimeout)
+		log.Info("shutting down", "drain_timeout", drainTimeout)
 	case err := <-errc:
 		log.Error("serve", "err", err)
 		os.Exit(1)
 	}
 
-	shutCtx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
+	shutCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	if err := srv.Shutdown(shutCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Warn("http shutdown", "err", err)
 	}
-	if !reg.Drain(*drainTimeout) {
+	if !reg.Drain(drainTimeout) {
 		log.Warn("drain timed out; exiting with jobs still running")
 		os.Exit(1)
 	}

@@ -116,6 +116,9 @@ func TestCppservedFlagValidation(t *testing.T) {
 		{"-workers", "http://localhost:8081"},
 		{"-worker"},
 		{"-log-json"},
+		{"-snap-ring", "4"},
+		{"-retain", "1"},
+		{"-drain-timeout", "30s"},
 	} {
 		out := runExpectUsage(t, bin, args...)
 		if !strings.Contains(out, "flag provided but not defined: "+args[0]) {
@@ -136,11 +139,14 @@ func TestCppledgerFlagValidation(t *testing.T) {
 		{"unknown dimension", []string{"-ledger", "x.ledger", "-by", "flavour"},
 			[]string{"flavour", "workload"}},
 		{"window with since", []string{"-ledger", "x.ledger", "-window", "1h",
-			"-since", "2026-01-01T00:00:00Z"}, []string{"-window", "-since"}},
+			"-since", "2026-01-01T00:00:00Z"}, []string{"-window", "-since", "exclusive"}},
 		{"bad since", []string{"-ledger", "x.ledger", "-since", "yesterday"},
 			[]string{"-since", "yesterday"}},
-		{"negative tol", []string{"-ledger", "x.ledger", "-tol", "-0.5"},
-			[]string{"-tol"}},
+		// Deleted flags are unknown flags.
+		{"diff", []string{"-ledger", "x.ledger", "-diff", "y.ledger"},
+			[]string{"flag provided but not defined: -diff"}},
+		{"tol", []string{"-ledger", "x.ledger", "-tol", "0.5"},
+			[]string{"flag provided but not defined: -tol"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

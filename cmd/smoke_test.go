@@ -106,7 +106,7 @@ func TestSmokeCppverify(t *testing.T) {
 func TestSmokeCppserved(t *testing.T) {
 	bin := build(t, "cppserved")
 	addrFile := filepath.Join(t.TempDir(), "addr")
-	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile, "-drain-timeout", "30s")
+	cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile)
 	var logs bytes.Buffer
 	cmd.Stderr = &logs
 	if err := cmd.Start(); err != nil {
@@ -142,7 +142,7 @@ func TestSmokeCppserved(t *testing.T) {
 		return string(b)
 	}
 
-	expect(t, get("/healthz"), "ok")
+	expect(t, get("/readyz"), "ready")
 
 	resp, err := http.Post(base+"/runs", "application/json",
 		strings.NewReader(`{"workload":"treeadd","config":"CPP","functional":true,"scale":1}`))
@@ -190,8 +190,7 @@ func TestSmokeCppserved(t *testing.T) {
 // with a ledger, complete runs, check /fleet and /metrics, kill the
 // server with SIGKILL, simulate a torn mid-append write on the ledger
 // tail, then restart on the same file and assert the replay recovered
-// every intact record. Finally cppledger replays the ledger offline and
-// diffs it against an empty one.
+// every intact record. Finally cppledger replays the ledger offline.
 func TestSmokeLedgerDashboard(t *testing.T) {
 	bin := build(t, "cppserved")
 	ledgerBin := build(t, "cppledger")
@@ -201,7 +200,7 @@ func TestSmokeLedgerDashboard(t *testing.T) {
 	boot := func(addrFile string) (*exec.Cmd, *bytes.Buffer, string) {
 		t.Helper()
 		cmd := exec.Command(bin, "-addr", "127.0.0.1:0", "-addr-file", addrFile,
-			"-ledger", ledgerPath, "-drain-timeout", "30s")
+			"-ledger", ledgerPath)
 		var logs bytes.Buffer
 		cmd.Stderr = &logs
 		if err := cmd.Start(); err != nil {
@@ -332,18 +331,4 @@ func TestSmokeLedgerDashboard(t *testing.T) {
 	expect(t, out, `"total_runs": 2`, `"dimensions"`)
 	out = run(t, ledgerBin, "-ledger", ledgerPath, "-state", "done", "-json")
 	expect(t, out, `"total_runs": 2`)
-
-	// Self-diff agrees; diff against an empty ledger drifts (exit 3).
-	out = run(t, ledgerBin, "-ledger", ledgerPath, "-diff", ledgerPath)
-	expect(t, out, "no drift")
-	empty := filepath.Join(dir, "empty.ledger")
-	if err := os.WriteFile(empty, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	diffOut, err := exec.Command(ledgerBin, "-ledger", ledgerPath, "-diff", empty).CombinedOutput()
-	ee, ok := err.(*exec.ExitError)
-	if !ok || ee.ExitCode() != 3 {
-		t.Fatalf("diff against empty ledger: err=%v (want exit 3)\n%s", err, diffOut)
-	}
-	expect(t, string(diffOut), "presence")
 }

@@ -18,7 +18,6 @@ type specFixture struct {
 	Functional bool    `json:"functional,omitempty"`
 	Interval   int64   `json:"interval,omitempty"`
 	Attr       bool    `json:"attr,omitempty"`
-	Halved     bool    `json:"halved,omitempty"`
 	TimeoutSec float64 `json:"timeout_sec,omitempty"`
 }
 

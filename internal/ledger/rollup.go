@@ -36,6 +36,38 @@ type Filter struct {
 	Until time.Time
 }
 
+// ParseFilter builds a Filter from its text form, shared by the /fleet
+// query parameters and cppledger's flags: label matches (empty matches
+// everything), an absolute window (since, until; RFC 3339) or a relative
+// one (window: a positive Go duration ending now, exclusive with since
+// and until). The state is matched as a string, never checked against a
+// vocabulary, so a replay keeps records of states it does not know.
+func ParseFilter(workload, config, compressor, state, since, until, window string) (Filter, error) {
+	f := Filter{Workload: workload, Config: config, Compressor: compressor, State: state}
+	var err error
+	if since != "" {
+		if f.Since, err = time.Parse(time.RFC3339, since); err != nil {
+			return Filter{}, fmt.Errorf("bad since %q: %v", since, err)
+		}
+	}
+	if until != "" {
+		if f.Until, err = time.Parse(time.RFC3339, until); err != nil {
+			return Filter{}, fmt.Errorf("bad until %q: %v", until, err)
+		}
+	}
+	if window != "" {
+		if !f.Since.IsZero() || !f.Until.IsZero() {
+			return Filter{}, fmt.Errorf("window is exclusive with since/until")
+		}
+		d, err := time.ParseDuration(window)
+		if err != nil || d <= 0 {
+			return Filter{}, fmt.Errorf("bad window %q (want a positive Go duration like 1h)", window)
+		}
+		f.Since = time.Now().Add(-d)
+	}
+	return f, nil
+}
+
 func (f Filter) match(r Record) bool {
 	if f.Workload != "" && r.Workload != f.Workload {
 		return false

@@ -354,45 +354,66 @@ func TestAggregateJSONShape(t *testing.T) {
 	}
 }
 
-func TestDiffAggregates(t *testing.T) {
-	roA, roB := NewRollup(), NewRollup()
-	roA.AddAll(fleetFixture())
-	// B: the BCC group vanished, mst/CPP traffic drifted 2x, treeadd is
-	// unchanged.
-	for _, r := range fleetFixture() {
-		switch {
-		case r.Config == "BCC":
-			continue
-		case r.Workload == "olden.mst":
-			r.TrafficWords *= 2
-		}
-		roB.Add(r)
+// TestParseFilter pins the text form of a Filter shared by /fleet and
+// cppledger: RFC 3339 bounds, a relative window exclusive with them, and
+// empty input as the match-everything zero Filter.
+func TestParseFilter(t *testing.T) {
+	const stamp = "2023-11-14T22:13:20Z"
+	at := time.Unix(1700000000, 0).UTC()
+	type in struct{ workload, config, compressor, state, since, until, window string }
+	cases := []struct {
+		name    string
+		in      in
+		want    Filter
+		wantErr string // substring of the error; "" expects success
+	}{
+		{"empty", in{}, Filter{}, ""},
+		{"labels", in{workload: "olden.mst", config: "CPP", compressor: "fpc", state: "suspended"},
+			Filter{Workload: "olden.mst", Config: "CPP", Compressor: "fpc", State: "suspended"}, ""},
+		{"since", in{since: stamp}, Filter{Since: at}, ""},
+		{"until", in{until: stamp}, Filter{Until: at}, ""},
+		{"since and until", in{since: stamp, until: "2023-11-15T00:00:00+01:00"},
+			Filter{Since: at, Until: time.Date(2023, 11, 14, 23, 0, 0, 0, time.UTC)}, ""},
+		{"bad since", in{since: "yesterday"}, Filter{}, `bad since "yesterday"`},
+		{"bad until", in{until: "2023-11-14"}, Filter{}, `bad until "2023-11-14"`},
+		{"window with since", in{since: stamp, window: "1h"}, Filter{}, "exclusive"},
+		{"window with until", in{until: stamp, window: "1h"}, Filter{}, "exclusive"},
+		{"zero window", in{window: "0s"}, Filter{}, `bad window "0s"`},
+		{"negative window", in{window: "-5s"}, Filter{}, `bad window "-5s"`},
+		{"unparsable window", in{window: "a while"}, Filter{}, `bad window "a while"`},
 	}
-	aggA, _ := roA.Aggregate(Filter{}, "workload", "config", "compressor")
-	aggB, _ := roB.Aggregate(Filter{}, "workload", "config", "compressor")
-
-	drifts := DiffAggregates(aggA, aggB, 0.10)
-	var sawPresence, sawTraffic bool
-	for _, d := range drifts {
-		if d.Metric == "presence" && strings.Contains(d.Group, "BCC") {
-			sawPresence = true
-		}
-		if d.Metric == "traffic_per_kilo_inst" && strings.Contains(d.Group, "olden.mst") {
-			sawTraffic = true
-			if math.Abs(d.Rel-0.5) > 1e-9 { // 2x drift = 50% symmetric
-				t.Errorf("traffic drift rel = %g, want 0.5", d.Rel)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := ParseFilter(c.in.workload, c.in.config, c.in.compressor, c.in.state,
+				c.in.since, c.in.until, c.in.window)
+			if c.wantErr != "" {
+				if err == nil || !strings.Contains(err.Error(), c.wantErr) {
+					t.Fatalf("err = %v, want one containing %q", err, c.wantErr)
+				}
+				return
 			}
-		}
-		if strings.Contains(d.Group, "treeadd") && d.Metric != "presence" {
-			t.Errorf("unchanged group flagged: %+v", d)
-		}
-	}
-	if !sawPresence || !sawTraffic {
-		t.Errorf("missing drifts (presence=%v traffic=%v): %+v", sawPresence, sawTraffic, drifts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Since.Equal(c.want.Since) || !got.Until.Equal(c.want.Until) {
+				t.Errorf("since/until = %v/%v, want %v/%v", got.Since, got.Until, c.want.Since, c.want.Until)
+			}
+			got.Since, got.Until, c.want.Since, c.want.Until = time.Time{}, time.Time{}, time.Time{}, time.Time{}
+			if got != c.want {
+				t.Errorf("labels = %+v, want %+v", got, c.want)
+			}
+		})
 	}
 
-	// Identical fleets: no drift at all.
-	if d := DiffAggregates(aggA, aggA, 0.0); len(d) != 0 {
-		t.Errorf("self-diff reported drifts: %+v", d)
+	// A window ends now: since is one window before the call.
+	before := time.Now()
+	f, err := ParseFilter("", "", "", "", "", "", "1h")
+	after := time.Now()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if f.Since.Before(before.Add(-time.Hour)) || f.Since.After(after.Add(-time.Hour)) || !f.Until.IsZero() {
+		t.Errorf("window 1h gave since %v until %v, want since in [%v, %v] and no until",
+			f.Since, f.Until, before.Add(-time.Hour), after.Add(-time.Hour))
 	}
 }

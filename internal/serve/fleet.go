@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"strings"
-	"time"
 
 	"cppcache/internal/ledger"
 	"cppcache/internal/obs"
@@ -135,7 +134,7 @@ func (g *Registry) SeedFleet(recs []ledger.Record) {
 	}
 }
 
-// FleetRecords returns the fleet's records (tests and diff tooling).
+// FleetRecords returns the fleet's records.
 func (g *Registry) FleetRecords() []ledger.Record { return g.fleet.Records() }
 
 // FleetAggregate aggregates the fleet rollup (see ledger.Rollup.Aggregate).
@@ -147,102 +146,54 @@ func (g *Registry) FleetAggregate(f ledger.Filter, dims ...string) (*ledger.Aggr
 // off); surfaces in cppserved_build_info.
 func (g *Registry) LedgerPath() string { return g.cfg.Ledger.Path() }
 
-// fleetFilterFromQuery parses the /fleet query parameters: label filters
-// (workload, config, compressor, state), an absolute time window (since,
-// until, RFC3339) or a relative one (window, Go duration ending now).
-func fleetFilterFromQuery(r *http.Request) (ledger.Filter, error) {
-	q := r.URL.Query()
-	f := ledger.Filter{
-		Workload:   q.Get("workload"),
-		Config:     q.Get("config"),
-		Compressor: q.Get("compressor"),
-		State:      q.Get("state"),
+// checkState rejects a state filter that names no lifecycle state; ""
+// (no filter) passes. Unlike an offline replay, the server knows every
+// state a run or record can carry.
+func checkState(s string) error {
+	if s == "" {
+		return nil
 	}
-	if f.State != "" && !knownState(f.State) {
-		return f, fmt.Errorf("unknown state %q (known: %s)", f.State, strings.Join(stateNames(), ", "))
-	}
-	if v := q.Get("since"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			return f, fmt.Errorf("bad since %q: %v", v, err)
-		}
-		f.Since = t
-	}
-	if v := q.Get("until"); v != "" {
-		t, err := time.Parse(time.RFC3339, v)
-		if err != nil {
-			return f, fmt.Errorf("bad until %q: %v", v, err)
-		}
-		f.Until = t
-	}
-	if v := q.Get("window"); v != "" {
-		if !f.Since.IsZero() || !f.Until.IsZero() {
-			return f, fmt.Errorf("window is exclusive with since/until")
-		}
-		d, err := time.ParseDuration(v)
-		if err != nil || d <= 0 {
-			return f, fmt.Errorf("bad window %q (want a positive Go duration like 1h)", v)
-		}
-		f.Since = time.Now().Add(-d)
-	}
-	return f, nil
-}
-
-// knownState reports whether s names a lifecycle state.
-func knownState(s string) bool {
+	names := make([]string, 0, len(States()))
 	for _, st := range States() {
 		if string(st) == s {
-			return true
+			return nil
 		}
+		names = append(names, string(st))
 	}
-	return false
+	return fmt.Errorf("unknown state %q (known: %s)", s, strings.Join(names, ", "))
 }
 
-// stateNames lists the lifecycle states as strings.
-func stateNames() []string {
-	out := make([]string, 0, len(States()))
-	for _, st := range States() {
-		out = append(out, string(st))
-	}
-	return out
-}
-
-// handleFleet is GET /fleet: the full-dimension fleet aggregation
-// (workload x config x compressor x state) with optional filters.
+// handleFleet is GET /fleet and GET /fleet/{dimension}: the fleet
+// aggregation over every dimension (workload x config x compressor x
+// state), or collapsed onto the one named, filtered by the query
+// parameters ledger.ParseFilter reads.
 func (s *Server) handleFleet(w http.ResponseWriter, r *http.Request) {
-	f, err := fleetFilterFromQuery(r)
+	var dims []string
+	if dim := r.PathValue("dimension"); dim != "" {
+		if !ledger.KnownDimension(dim) {
+			jsonError(w, http.StatusBadRequest,
+				"unknown dimension %q (known: %s)", dim, strings.Join(ledger.Dimensions, ", "))
+			return
+		}
+		dims = []string{dim}
+	}
+	q := r.URL.Query()
+	if err := checkState(q.Get("state")); err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	f, err := ledger.ParseFilter(q.Get("workload"), q.Get("config"), q.Get("compressor"),
+		q.Get("state"), q.Get("since"), q.Get("until"), q.Get("window"))
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	agg, err := s.reg.FleetAggregate(f)
+	agg, err := s.reg.FleetAggregate(f, dims...)
 	if err != nil {
 		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	writeJSON(w, agg)
-}
-
-// handleFleetDim is GET /fleet/{dimension}: the fleet collapsed onto one
-// grouping axis (workload, config, compressor or state).
-func (s *Server) handleFleetDim(w http.ResponseWriter, r *http.Request) {
-	dim := r.PathValue("dimension")
-	if !ledger.KnownDimension(dim) {
-		jsonError(w, http.StatusBadRequest,
-			"unknown dimension %q (known: %s)", dim, strings.Join(ledger.Dimensions, ", "))
-		return
-	}
-	f, err := fleetFilterFromQuery(r)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	agg, err := s.reg.FleetAggregate(f, dim)
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	writeJSON(w, agg)
+	writeJSON(w, http.StatusOK, agg)
 }
 
 // writeFleetMetrics renders the cppserved_fleet_* families from the full

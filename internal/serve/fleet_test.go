@@ -227,7 +227,7 @@ func TestTerminalRunAlreadyRecorded(t *testing.T) {
 	injectFault(reg, "olden.health", panicNow)
 	mustLaunch := func(spec RunSpec) *Run {
 		t.Helper()
-		run, err := reg.Launch(spec)
+		run, err := reg.Launch(spec, false)
 		if err != nil {
 			t.Fatal(err)
 		}

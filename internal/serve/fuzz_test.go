@@ -14,7 +14,7 @@ import (
 func FuzzRunSpecDecode(f *testing.F) {
 	f.Add([]byte(`{"workload":"treeadd","config":"CPP","functional":true}`))
 	f.Add([]byte(`{"workload":"mst","scale":4096,"interval":1,"timeout_sec":3600}`))
-	f.Add([]byte(`{"workload":"em3d","config":"bcc","compressor":"bdi","attr":true,"halved":true}`))
+	f.Add([]byte(`{"workload":"em3d","config":"bcc","compressor":"bdi","attr":true}`))
 	f.Add([]byte(`{"workload":"health","panic_after":1}`))
 	f.Add([]byte(`{"workload":"treeadd","timeout_sec":-1e308}`))
 	f.Add([]byte(`{"workload":"","config":""}`))

@@ -9,29 +9,6 @@ import (
 	"time"
 )
 
-// TestHealthzAlwaysLive: liveness is decoupled from readiness — /healthz
-// answers 200 while booting, while ready and while draining.
-func TestHealthzAlwaysLive(t *testing.T) {
-	ts, reg := newTestServer(t)
-	check := func(phase string) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + "/healthz")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("/healthz during %s: status %d, want 200", phase, resp.StatusCode)
-		}
-	}
-	reg.SetReady(false)
-	check("boot")
-	reg.SetReady(true)
-	check("ready")
-	reg.Drain(time.Second)
-	check("draining")
-}
-
 // TestReadyzLifecycle: /readyz is 503 with a Retry-After before boot
 // replay completes and after draining starts, 200 in between.
 func TestReadyzLifecycle(t *testing.T) {

@@ -226,9 +226,9 @@ func TestPanicMidRunIsIsolated(t *testing.T) {
 		`cppserved_runs{state="failed"}`:   1,
 		`cppserved_runs{state="done"}`:     1,
 	})
-	resp, err := http.Get(ts.URL + "/healthz")
+	resp, err := http.Get(ts.URL + "/readyz")
 	if err != nil || resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz after panic: %v / %v", resp, err)
+		t.Fatalf("readyz after panic: %v / %v", resp, err)
 	}
 	resp.Body.Close()
 }
@@ -295,21 +295,26 @@ func wantMetrics(t *testing.T, ts *httptest.Server, want map[string]float64) {
 	}
 }
 
-// TestSnapshotRingDropsAndGapEvent: a tiny ring drops old snapshots with
-// accounting, and a late stream subscriber is told about the gap
-// explicitly before the retained suffix replays.
+// ringSpec is a run that publishes more interval snapshots than the ring
+// holds.
+const ringSpec = `{"workload":"treeadd","functional":true,"scale":1,"interval":10}`
+
+// TestSnapshotRingDropsAndGapEvent: a run that outgrows the ring drops
+// its oldest snapshots with accounting, and a late stream subscriber is
+// told about the gap explicitly before the retained suffix replays.
 func TestSnapshotRingDropsAndGapEvent(t *testing.T) {
-	ts, _, _ := newServerWith(t, Config{SnapRing: 4})
-	st := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1,"interval":200}`)
+	ts, _ := newTestServer(t)
+	st := launch(t, ts, ringSpec)
 	final := waitDone(t, ts, st.ID)
 	if final.State != StateDone {
 		t.Fatalf("state = %s", final.State)
 	}
-	if final.SnapshotsDropped == 0 || final.Intervals <= 4 {
+	if final.SnapshotsDropped == 0 || final.Intervals <= snapRing {
 		t.Fatalf("expected ring drops: intervals=%d dropped=%d", final.Intervals, final.SnapshotsDropped)
 	}
-	if final.SnapshotsDropped != int64(final.Intervals-4) {
-		t.Errorf("drop accounting: %d dropped of %d intervals with ring 4", final.SnapshotsDropped, final.Intervals)
+	if final.SnapshotsDropped != int64(final.Intervals-snapRing) {
+		t.Errorf("drop accounting: %d dropped of %d intervals with ring %d",
+			final.SnapshotsDropped, final.Intervals, snapRing)
 	}
 
 	resp, err := http.Get(fmt.Sprintf("%s/runs/%d/stream", ts.URL, st.ID))
@@ -320,30 +325,32 @@ func TestSnapshotRingDropsAndGapEvent(t *testing.T) {
 	if !strings.Contains(body, "event: gap") {
 		t.Errorf("stream over a dropped prefix carries no gap event:\n%.400s", body)
 	}
-	wantGap := fmt.Sprintf(`{"from":0,"resumed":%d,"dropped":%d}`, final.Intervals-4, final.Intervals-4)
+	wantGap := fmt.Sprintf(`{"from":0,"resumed":%d,"dropped":%d}`,
+		final.Intervals-snapRing, final.Intervals-snapRing)
 	if !strings.Contains(body, wantGap) {
 		t.Errorf("gap payload missing %s:\n%.400s", wantGap, body)
 	}
-	if got := strings.Count(body, "event: snapshot"); got != 4 {
-		t.Errorf("streamed %d snapshots after gap, want 4 (ring size)", got)
+	if got := strings.Count(body, "event: snapshot"); got != snapRing {
+		t.Errorf("streamed %d snapshots after gap, want %d (ring size)", got, snapRing)
 	}
 	if !strings.Contains(body, "event: end") {
 		t.Error("stream missing end event")
 	}
 }
 
-// TestRetentionEviction: beyond Retain terminal runs the oldest are
-// evicted (404 afterwards) and counted; /metrics still parses.
+// TestRetentionEviction: beyond retainRuns terminal runs the oldest are
+// evicted (404 afterwards) and counted; /metrics still parses. One run
+// executes; the memo answers the other launches, born terminal.
 func TestRetentionEviction(t *testing.T) {
-	ts, reg, _ := newServerWith(t, Config{Retain: 1})
+	ts, reg, _ := newServerWith(t, Config{MemoEntries: 1})
 	var ids []int
-	for i := 0; i < 3; i++ {
+	for i := 0; i < retainRuns+2; i++ {
 		st := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
 		waitDone(t, ts, st.ID)
 		ids = append(ids, st.ID)
 	}
-	if c := reg.Counters(); c.RunsEvicted != 2 {
-		t.Fatalf("evicted = %d, want 2", c.RunsEvicted)
+	if c := reg.Counters(); c.RunsEvicted != 2 || c.MemoHits != retainRuns+1 {
+		t.Fatalf("evicted = %d, memo hits = %d, want 2 and %d", c.RunsEvicted, c.MemoHits, retainRuns+1)
 	}
 	for _, id := range ids[:2] {
 		resp, err := http.Get(fmt.Sprintf("%s/runs/%d", ts.URL, id))
@@ -363,8 +370,8 @@ func TestRetentionEviction(t *testing.T) {
 	if metrics["cppserved_runs_evicted_total"] != 2 {
 		t.Errorf("evicted metric = %v", metrics["cppserved_runs_evicted_total"])
 	}
-	if metrics[`cppserved_runs{state="done"}`] != 1 {
-		t.Errorf("retained done runs = %v, want 1", metrics[`cppserved_runs{state="done"}`])
+	if metrics[`cppserved_runs{state="done"}`] != retainRuns {
+		t.Errorf("retained done runs = %v, want %d", metrics[`cppserved_runs{state="done"}`], retainRuns)
 	}
 }
 
@@ -417,7 +424,7 @@ func TestSlowStreamConsumerDisconnected(t *testing.T) {
 	ts, reg, srv := newServerWith(t, Config{})
 	// Expire every stream write instantly: the first event push must fail
 	// against a real network conn, disconnecting the consumer.
-	srv.StreamWriteTimeout = time.Nanosecond
+	srv.streamWriteTimeout = time.Nanosecond
 	st := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1}`)
 	waitDone(t, ts, st.ID)
 	resp, err := http.Get(fmt.Sprintf("%s/runs/%d/stream", ts.URL, st.ID))
@@ -443,11 +450,11 @@ func TestStateTransitionsDirect(t *testing.T) {
 	if err := reg.Cancel(42, ""); err == nil {
 		t.Error("Cancel(unknown) did not error")
 	}
-	run, err := reg.Launch(RunSpec{Workload: "em3d", Functional: true, Scale: 1})
+	run, err := reg.Launch(RunSpec{Workload: "em3d", Functional: true, Scale: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	queued, err := reg.Launch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1})
+	queued, err := reg.Launch(RunSpec{Workload: "treeadd", Functional: true, Scale: 1}, false)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,8 +37,6 @@ type RunSpec struct {
 	Interval int64 `json:"interval,omitempty"`
 	// Attr enables the PC/region attribution profiler.
 	Attr bool `json:"attr,omitempty"`
-	// Halved halves the miss penalties (Figure 14 methodology).
-	Halved bool `json:"halved,omitempty"`
 	// TimeoutSec caps the run's execution time in seconds, counted from
 	// dispatch (not from time spent queued). 0 = no per-run deadline. A
 	// run that exceeds it is terminated cooperatively and marked failed.
@@ -147,9 +145,8 @@ type Run struct {
 
 	// Snapshot ring: snaps[snapHead..] wrapping, snapCount entries, the
 	// oldest of which is ordinal snapBase in the published series. The
-	// backing slice grows lazily toward ringCap.
+	// backing slice grows lazily toward snapRing.
 	snaps       []obs.Snapshot
-	ringCap     int
 	snapHead    int
 	snapCount   int
 	snapBase    int
@@ -183,19 +180,13 @@ type RunStatus struct {
 	MemoSourceTrace string `json:"memo_source_trace,omitempty"`
 }
 
-// Config sizes the registry's admission control and retention.
+// Config sizes the registry's admission control and persistence.
 type Config struct {
 	// MaxRunning bounds concurrently executing simulations (the worker
 	// slots). 0 = DefaultMaxRunning.
 	MaxRunning int
 	// MaxQueue bounds runs waiting for a worker slot. 0 = DefaultMaxQueue.
 	MaxQueue int
-	// SnapRing bounds retained interval snapshots per run; older entries
-	// are dropped (and counted) once it fills. 0 = DefaultSnapRing.
-	SnapRing int
-	// Retain bounds retained terminal runs; the oldest are evicted (and
-	// counted) beyond it. 0 = DefaultRetain.
-	Retain int
 	// Ledger, when non-nil, receives one durable record per terminal run
 	// (fsync'd append). Nil disables persistence; the in-memory fleet
 	// rollup is always maintained.
@@ -205,12 +196,18 @@ type Config struct {
 	MemoEntries int
 }
 
-// Admission-control and retention defaults.
+// Admission-control defaults.
 const (
 	DefaultMaxRunning = 4
 	DefaultMaxQueue   = 32
-	DefaultSnapRing   = 4096
-	DefaultRetain     = 256
+)
+
+// Retention bounds. A run keeps at most snapRing interval snapshots; older
+// ones are dropped (and counted) once the ring fills. Beyond retainRuns
+// terminal runs, the oldest are evicted (and counted).
+const (
+	snapRing   = 4096
+	retainRuns = 256
 )
 
 func (c Config) withDefaults() Config {
@@ -219,12 +216,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxQueue <= 0 {
 		c.MaxQueue = DefaultMaxQueue
-	}
-	if c.SnapRing <= 0 {
-		c.SnapRing = DefaultSnapRing
-	}
-	if c.Retain <= 0 {
-		c.Retain = DefaultRetain
 	}
 	return c
 }
@@ -338,8 +329,6 @@ func (g *Registry) SetReady(ready bool) {
 
 // Readiness reports whether the registry should accept traffic, with a
 // machine-readable reason when it should not ("draining", "booting").
-// Liveness (/healthz) is unconditional; readiness is what load balancers
-// key on.
 func (g *Registry) Readiness() (ready bool, reason string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -396,29 +385,19 @@ func normalize(spec RunSpec) (RunSpec, error) {
 	return spec, nil
 }
 
-// LaunchOptions tune one admission.
-type LaunchOptions struct {
-	// NoCache bypasses the memo lookup (the ?nocache=1 escape hatch): the
-	// run executes even when a memoized result exists. Its own terminal
-	// result still refreshes the store.
-	NoCache bool
-}
-
 // Launch validates spec and admits a run: dispatched immediately when a
 // worker slot is free, queued when the wait queue has room, rejected with
 // ErrQueueFull/ErrDraining otherwise. It returns the registered run
 // immediately.
-func (g *Registry) Launch(spec RunSpec) (*Run, error) {
-	return g.LaunchOpts(spec, LaunchOptions{})
-}
-
-// LaunchOpts is Launch with explicit options. When memoization is on and
-// a full memo entry matches the spec's content hash, the run is born
-// terminal (done) with the original's snapshots, totals, result and
-// profile — served in microseconds, no worker slot consumed, marked
-// memoized with the source run/trace IDs. Runs only enter the store from
-// real completions.
-func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
+//
+// When memoization is on and a full memo entry matches the spec's content
+// hash, the run is born terminal (done) with the original's snapshots,
+// totals, result and profile — served in microseconds, no worker slot
+// consumed, marked memoized with the source run/trace IDs. noCache (the
+// ?nocache=1 escape hatch) skips the lookup: the run executes, and its own
+// terminal result still refreshes the store. Runs only enter the store
+// from real completions.
+func (g *Registry) Launch(spec RunSpec, noCache bool) (*Run, error) {
 	spec, err := normalize(spec)
 	if err != nil {
 		return nil, err
@@ -431,7 +410,7 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 		g.mu.Unlock()
 		return nil, ErrDraining
 	}
-	if g.memo != nil && specHash != "" && !opts.NoCache {
+	if g.memo != nil && specHash != "" && !noCache {
 		if e := g.memo.lookup(specHash); e != nil {
 			// A hit bypasses admission control entirely: no slot, no queue
 			// capacity, just a terminal run built from the cached entry.
@@ -456,6 +435,26 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 		// admitted runs exactly (rejections count neither).
 		g.memo.countMiss()
 	}
+	run, admit := g.newRunLocked(spec, specHash)
+	if g.running < g.cfg.MaxRunning {
+		g.startLocked(run)
+	} else {
+		admit.SetAttrs(span.Bool("queued", true))
+		g.queue = append(g.queue, run.ID)
+		g.log.Info("run queued", "run_id", run.ID, "trace_id", run.TraceID(),
+			"workload", spec.Workload, "config", spec.Config, "queue_depth", len(g.queue))
+	}
+	admit.End()
+	g.mu.Unlock()
+	return run, nil
+}
+
+// newRunLocked registers a queued run created now. Its root, admission
+// and queue spans open at the exact created instant, so span intervals
+// and registry timestamps reconcile to the nanosecond; memoAttrs follow
+// the root span's own attributes. It returns the run and its open
+// admission span. Callers hold g.mu.
+func (g *Registry) newRunLocked(spec RunSpec, specHash string, memoAttrs ...span.Attr) (*Run, *span.Span) {
 	t0 := time.Now()
 	tracer := span.New(0)
 	tracer.SetOnEnd(g.stages.observe)
@@ -465,33 +464,22 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 		specHash: specHash,
 		state:    StateQueued,
 		created:  t0,
-		ringCap:  g.cfg.SnapRing,
 		changed:  make(chan struct{}),
 		tracer:   tracer,
 	}
-	// The root span and the queue span open at the exact created instant,
-	// so span intervals and registry timestamps reconcile precisely.
-	run.root = tracer.StartAt("run", nil, t0,
+	attrs := append([]span.Attr{
 		span.Int("run_id", int64(run.ID)),
 		span.String("workload", spec.Workload),
 		span.String("config", spec.Config),
-		span.String("compressor", spec.Compressor))
+		span.String("compressor", spec.Compressor),
+	}, memoAttrs...)
+	run.root = tracer.StartAt("run", nil, t0, attrs...)
 	admit := run.root.StartChildAt("admission", t0)
 	run.queueSp = run.root.StartChildAt("queue", t0)
 	g.next++
 	g.runs[run.ID] = run
 	g.order = append(g.order, run.ID)
-	if g.running < g.cfg.MaxRunning {
-		g.startLocked(run)
-	} else {
-		admit.SetAttrs(span.Bool("queued", true))
-		g.queue = append(g.queue, run.ID)
-		g.log.Info("run queued", "run_id", run.ID, "trace_id", tracer.TraceID(),
-			"workload", spec.Workload, "config", spec.Config, "queue_depth", len(g.queue))
-	}
-	admit.End()
-	g.mu.Unlock()
-	return run, nil
+	return run, admit
 }
 
 // newMemoRunLocked registers a run that is born terminal, rebuilt from a
@@ -500,56 +488,26 @@ func (g *Registry) LaunchOpts(spec RunSpec, opts LaunchOptions) (*Run, error) {
 // result and profile are the original's byte-for-byte; span timestamps
 // reconcile exactly (queue and execute are both zero-width at the
 // admission instant, so queue+execute == run to the nanosecond); and the
-// run is in the fleet rollup before it is registered. Callers hold g.mu.
+// run is in the fleet rollup before anyone can look it up. Callers hold
+// g.mu.
 func (g *Registry) newMemoRunLocked(spec RunSpec, e *memoEntry) (*Run, ledger.Record) {
-	t0 := time.Now()
-	tracer := span.New(0)
-	tracer.SetOnEnd(g.stages.observe)
-	run := &Run{
-		ID:          g.next,
-		Spec:        spec,
-		specHash:    e.specHash,
-		state:       StateDone,
-		created:     t0,
-		started:     t0,
-		finished:    t0,
-		ringCap:     g.cfg.SnapRing,
-		changed:     make(chan struct{}),
-		tracer:      tracer,
-		memoized:    true,
-		memoRun:     e.runID,
-		memoTrace:   e.traceID,
-		snaps:       append([]obs.Snapshot(nil), e.snaps...),
-		snapCount:   len(e.snaps),
-		snapBase:    e.snapBase,
-		snapDropped: e.snapDropped,
-		totals:      e.totals,
-		result:      e.result,
-		attrText:    e.attrText,
-		attrColl:    e.attrColl,
-	}
-	run.root = tracer.StartAt("run", nil, t0,
-		span.Int("run_id", int64(run.ID)),
-		span.String("workload", spec.Workload),
-		span.String("config", spec.Config),
-		span.String("compressor", spec.Compressor),
+	run, admit := g.newRunLocked(spec, e.specHash,
 		span.Bool("memoized", true),
 		span.Int("memo_source_run", int64(e.runID)))
-	admit := run.root.StartChildAt("admission", t0)
-	run.queueSp = run.root.StartChildAt("queue", t0)
-	run.execSp = run.root.StartChildAt("execute", t0)
-	run.execSp.SetAttrs(span.Bool("memoized", true))
-	admit.EndAt(t0)
-	run.queueSp.EndAt(t0)
-	run.execSp.EndAt(t0)
-	run.root.EndAt(t0)
 	run.mu.Lock()
-	rec := g.recordLocked(run)
-	run.mu.Unlock()
-	g.next++
-	g.runs[run.ID] = run
-	g.order = append(g.order, run.ID)
-	return run, rec
+	defer run.mu.Unlock()
+	t0 := run.created
+	run.state = StateDone
+	run.started, run.finished = t0, t0
+	run.memoized, run.memoRun, run.memoTrace = true, e.runID, e.traceID
+	run.snaps = append([]obs.Snapshot(nil), e.snaps...)
+	run.snapCount, run.snapBase, run.snapDropped = len(e.snaps), e.snapBase, e.snapDropped
+	run.totals, run.result = e.totals, e.result
+	run.attrText, run.attrColl = e.attrText, e.attrColl
+	run.execSp = run.root.StartChildAt("execute", t0, span.Bool("memoized", true))
+	admit.EndAt(t0)
+	run.endSpansLocked(t0)
+	return run, g.recordLocked(run)
 }
 
 // startLocked dispatches a queued run onto its own goroutine in the
@@ -618,10 +576,9 @@ func (g *Registry) execute(run *Run, slot int, ctx context.Context, cancel conte
 
 	spec := run.Spec
 	opts := cppcache.Options{
-		Scale:            spec.Scale,
-		HalveMissPenalty: spec.Halved,
-		FunctionalOnly:   spec.Functional,
-		Compressor:       spec.Compressor,
+		Scale:          spec.Scale,
+		FunctionalOnly: spec.Functional,
+		Compressor:     spec.Compressor,
 		Observe: &cppcache.ObserveOptions{
 			IntervalCycles: spec.Interval,
 			Attr:           spec.Attr,
@@ -723,7 +680,7 @@ func (g *Registry) scheduleLocked() {
 	}
 }
 
-// evictLocked enforces Config.Retain: beyond it, the oldest terminal runs
+// evictLocked enforces retainRuns: beyond it, the oldest terminal runs
 // are forgotten (404 afterwards). Running and queued runs are never
 // evicted. Callers hold g.mu.
 func (g *Registry) evictLocked() {
@@ -733,7 +690,7 @@ func (g *Registry) evictLocked() {
 			terminal++
 		}
 	}
-	if terminal <= g.cfg.Retain {
+	if terminal <= retainRuns {
 		return
 	}
 	keep := g.order[:0]
@@ -742,7 +699,7 @@ func (g *Registry) evictLocked() {
 		if run == nil {
 			continue
 		}
-		if terminal > g.cfg.Retain && run.State().Terminal() {
+		if terminal > retainRuns && run.State().Terminal() {
 			terminal--
 			g.evicted++
 			g.evictedDrops += run.SnapshotsDropped()
@@ -913,9 +870,9 @@ func (g *Registry) Drain(timeout time.Duration) bool {
 // which are counted).
 func (r *Run) appendSnapshot(s obs.Snapshot) {
 	r.mu.Lock()
-	if r.snapCount < r.ringCap {
+	if r.snapCount < snapRing {
 		// Growth phase: the ring has never wrapped, so snapHead is 0 and
-		// the slice simply extends toward ringCap.
+		// the slice simply extends toward snapRing.
 		r.snaps = append(r.snaps, s)
 		r.snapCount++
 	} else {

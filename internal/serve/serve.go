@@ -13,21 +13,17 @@
 //	GET    /runs/{id}/profile  attribution profile (text or collapsed stacks)
 //	GET    /runs/{id}/trace    run-lifecycle span tree (?format=chrome)
 //	POST   /sweeps             expand a cross-product sweep into child runs
-//	GET    /sweeps             list sweeps (newest first)
 //	GET    /sweeps/{id}        one sweep's aggregate status and children
 //	GET    /sweeps/{id}/table  deterministic TSV result table (byte-stable
 //	                           across executions of the same sweep)
 //	GET    /sweeps/{id}/stream SSE: sweep progress events to completion
-//	DELETE /sweeps/{id}        cancel a sweep (fans out to child runs)
 //	GET    /fleet              fleet rollup over the run ledger (filters:
 //	                           workload, config, compressor, state, since,
 //	                           until, window)
 //	GET    /fleet/{dimension}  rollup collapsed onto one grouping axis
 //	GET    /metrics            Prometheus text exposition over all runs
-//	GET    /healthz            liveness (process is up)
 //	GET    /readyz             readiness (503 before ledger boot-replay
 //	                           completes and while draining, Retry-After set)
-//	GET    /debug/pprof/...    net/http/pprof
 //
 // Counters on /metrics are sums of the per-interval snapshot deltas, so
 // at the end of a run they equal the recorder's final totals exactly; the
@@ -53,7 +49,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"net/http/pprof"
 	"sort"
 	"strconv"
 	"strings"
@@ -63,11 +58,10 @@ import (
 	"cppcache/internal/span"
 )
 
-// DefaultStreamWriteTimeout is the per-write deadline applied to SSE
-// responses: a consumer that cannot absorb an event batch within it is
-// disconnected (and counted) instead of parking the handler goroutine
-// forever.
-const DefaultStreamWriteTimeout = 30 * time.Second
+// sseWriteTimeout is the per-write deadline applied to SSE responses: a
+// consumer that cannot absorb an event batch within it is disconnected
+// (and counted) instead of parking the handler goroutine forever.
+const sseWriteTimeout = 30 * time.Second
 
 // Client pacing advice: every SSE stream opens with a "retry:" line of
 // sseRetryMs, and every 429 and 503 carries Retry-After retryAfterSeconds.
@@ -82,9 +76,9 @@ type Server struct {
 	log *slog.Logger
 	mux *http.ServeMux
 
-	// StreamWriteTimeout overrides DefaultStreamWriteTimeout when > 0.
-	// Tests set it tiny to exercise slow-consumer disconnection.
-	StreamWriteTimeout time.Duration
+	// streamWriteTimeout is the SSE write deadline: sseWriteTimeout, unless
+	// a test shrinks it to exercise slow-consumer disconnection.
+	streamWriteTimeout time.Duration
 }
 
 // NewServer builds the observatory handler around a registry.
@@ -92,7 +86,7 @@ func NewServer(reg *Registry, log *slog.Logger) *Server {
 	if log == nil {
 		log = reg.log
 	}
-	s := &Server{reg: reg, log: log, mux: http.NewServeMux()}
+	s := &Server{reg: reg, log: log, mux: http.NewServeMux(), streamWriteTimeout: sseWriteTimeout}
 	s.mux.HandleFunc("POST /runs", s.handleLaunch)
 	s.mux.HandleFunc("GET /runs", s.handleList)
 	s.mux.HandleFunc("GET /runs/{id}", s.handleRun)
@@ -101,21 +95,13 @@ func NewServer(reg *Registry, log *slog.Logger) *Server {
 	s.mux.HandleFunc("GET /runs/{id}/profile", s.handleProfile)
 	s.mux.HandleFunc("GET /runs/{id}/trace", s.handleTrace)
 	s.mux.HandleFunc("POST /sweeps", s.handleSweepLaunch)
-	s.mux.HandleFunc("GET /sweeps", s.handleSweepList)
 	s.mux.HandleFunc("GET /sweeps/{id}", s.handleSweep)
 	s.mux.HandleFunc("GET /sweeps/{id}/table", s.handleSweepTable)
 	s.mux.HandleFunc("GET /sweeps/{id}/stream", s.handleSweepStream)
-	s.mux.HandleFunc("DELETE /sweeps/{id}", s.handleSweepCancel)
 	s.mux.HandleFunc("GET /fleet", s.handleFleet)
-	s.mux.HandleFunc("GET /fleet/{dimension}", s.handleFleetDim)
+	s.mux.HandleFunc("GET /fleet/{dimension}", s.handleFleet)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /readyz", s.handleReadyz)
-	s.mux.HandleFunc("/debug/pprof/", pprof.Index)
-	s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	s.mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	s.mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return s
 }
 
@@ -124,14 +110,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	s.mux.ServeHTTP(w, r)
 	s.log.Info("http", "method", r.Method, "path", r.URL.Path, "elapsed", time.Since(start))
-}
-
-// handleHealthz is GET /healthz: pure liveness. It answers 200 as long
-// as the process serves HTTP at all — including while draining — so
-// orchestrators never kill a server that is merely finishing its queue.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprintln(w, "ok")
 }
 
 // handleReadyz is GET /readyz: readiness for new work. It answers 503
@@ -152,17 +130,37 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // jsonError writes a JSON error body with the given status.
 func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
+	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSON writes v as a JSON 200 response.
-func writeJSON(w http.ResponseWriter, v any) {
+// writeJSON writes v as an indented JSON response with the given status.
+// Every JSON answer goes through it, so each is labelled application/json
+// before the header is sent.
+func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	enc.Encode(v)
+}
+
+// writeLaunchError maps an admission error of POST /runs or POST /sweeps
+// to its status: a spec violation is a structured 400 naming the field,
+// a full queue 429 and a draining registry 503, both with Retry-After.
+func writeLaunchError(w http.ResponseWriter, err error) {
+	var se *SpecError
+	switch {
+	case errors.As(err, &se):
+		writeJSON(w, http.StatusBadRequest, se)
+	case errors.Is(err, ErrQueueFull):
+		retryAfter(w)
+		jsonError(w, http.StatusTooManyRequests, "%v", err)
+	case errors.Is(err, ErrDraining):
+		retryAfter(w)
+		jsonError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		jsonError(w, http.StatusUnprocessableEntity, "%v", err)
+	}
 }
 
 // runFromPath resolves the {id} path value to a run.
@@ -197,32 +195,13 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, "bad run spec: %v", err)
 		return
 	}
-	opts := LaunchOptions{NoCache: r.URL.Query().Get("nocache") == "1"}
-	run, err := s.reg.LaunchOpts(spec, opts)
+	run, err := s.reg.Launch(spec, r.URL.Query().Get("nocache") == "1")
 	if err != nil {
-		var se *SpecError
-		switch {
-		case errors.As(err, &se):
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(se)
-		case errors.Is(err, ErrQueueFull):
-			retryAfter(w)
-			jsonError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, ErrDraining):
-			retryAfter(w)
-			jsonError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			jsonError(w, http.StatusUnprocessableEntity, "%v", err)
-		}
+		writeLaunchError(w, err)
 		return
 	}
 	w.Header().Set("Location", fmt.Sprintf("/runs/%d", run.ID))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(run.Status())
+	writeJSON(w, http.StatusCreated, run.Status())
 }
 
 // handleList is GET /runs. ?state= restricts to one lifecycle state
@@ -231,9 +210,8 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 // order.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	stateFilter := r.URL.Query().Get("state")
-	if stateFilter != "" && !knownState(stateFilter) {
-		jsonError(w, http.StatusBadRequest, "unknown state %q (known: %s)",
-			stateFilter, strings.Join(stateNames(), ", "))
+	if err := checkState(stateFilter); err != nil {
+		jsonError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
 	runs := s.reg.Runs()
@@ -251,7 +229,7 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		return out[i].ID < out[j].ID
 	})
-	writeJSON(w, out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // handleRun is GET /runs/{id}.
@@ -260,7 +238,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, run.Status())
+	writeJSON(w, http.StatusOK, run.Status())
 }
 
 // handleCancel is DELETE /runs/{id}: cancel a queued or running job. A
@@ -276,16 +254,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusConflict, "%v", err)
 		return
 	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, run.Status())
-}
-
-// writeJSONBody writes v as JSON without touching the status code (for
-// handlers that already wrote their header).
-func writeJSONBody(w http.ResponseWriter, v any) {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	writeJSON(w, http.StatusAccepted, run.Status())
 }
 
 // handleProfile is GET /runs/{id}/profile. ?format=collapsed selects the
@@ -363,11 +332,7 @@ func (s *Server) openSSE(w http.ResponseWriter, onSlow func(err error)) (*sseStr
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")
 	w.Header().Set("Connection", "keep-alive")
-	timeout := s.StreamWriteTimeout
-	if timeout <= 0 {
-		timeout = DefaultStreamWriteTimeout
-	}
-	sse := &sseStream{w: w, rc: http.NewResponseController(w), timeout: timeout,
+	sse := &sseStream{w: w, rc: http.NewResponseController(w), timeout: s.streamWriteTimeout,
 		onSlow: func(err error) {
 			s.reg.CountSlowStream()
 			onSlow(err)

@@ -382,7 +382,9 @@ func TestCompressorSpecRoundtrip(t *testing.T) {
 	}
 }
 
-// TestRunsListAndNotFound covers GET /runs, bad ids and /healthz.
+// TestRunsListAndNotFound covers GET /runs, unknown ids, and the routes
+// and spec fields that no longer exist: they answer like any unknown
+// route, method or field.
 func TestRunsListAndNotFound(t *testing.T) {
 	ts, _ := newTestServer(t)
 	st := launch(t, ts, `{"workload":"treeadd","config":"CPP","functional":true,"scale":1}`)
@@ -401,19 +403,77 @@ func TestRunsListAndNotFound(t *testing.T) {
 		t.Fatalf("GET /runs = %+v", list)
 	}
 
-	for path, want := range map[string]int{
-		"/runs/99":             http.StatusNotFound,
-		"/runs/zip":            http.StatusBadRequest,
-		"/healthz":             http.StatusOK,
-		"/debug/pprof/cmdline": http.StatusOK,
+	for _, c := range []struct {
+		method, path string
+		want         int
+	}{
+		{http.MethodGet, "/runs/99", http.StatusNotFound},
+		{http.MethodGet, "/runs/zip", http.StatusBadRequest},
+		{http.MethodGet, "/sweeps/999", http.StatusNotFound},
+		{http.MethodGet, "/healthz", http.StatusNotFound},
+		{http.MethodGet, "/debug/pprof/", http.StatusNotFound},
+		{http.MethodGet, "/debug/pprof/cmdline", http.StatusNotFound},
+		{http.MethodGet, "/sweeps", http.StatusMethodNotAllowed},
+		{http.MethodDelete, "/sweeps/1", http.StatusMethodNotAllowed},
 	} {
-		resp, err := http.Get(ts.URL + path)
+		req, err := http.NewRequest(c.method, ts.URL+c.path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
 		if err != nil {
 			t.Fatal(err)
 		}
 		readAll(t, resp)
-		if resp.StatusCode != want {
-			t.Errorf("GET %s: status %d, want %d", path, resp.StatusCode, want)
+		if resp.StatusCode != c.want {
+			t.Errorf("%s %s: status %d, want %d", c.method, c.path, resp.StatusCode, c.want)
+		}
+	}
+
+	resp, err = http.Post(ts.URL+"/runs", "application/json",
+		strings.NewReader(`{"workload":"treeadd","functional":true,"halved":true}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if body := readAll(t, resp); resp.StatusCode != http.StatusBadRequest ||
+		!strings.Contains(body, `unknown field \"halved\"`) {
+		t.Errorf("POST /runs with halved: status %d body %q, want 400 naming the unknown field", resp.StatusCode, body)
+	}
+}
+
+// TestJSONResponsesLabelled: every JSON answer says application/json,
+// whatever its status, a 202 and a 201 as much as a 200 or a 400.
+func TestJSONResponsesLabelled(t *testing.T) {
+	ts, _ := newFaultServer(t, Config{}, stall)
+	stalled := launch(t, ts, stallSpec(""))
+	waitState(t, ts, stalled.ID, StateRunning)
+	for _, c := range []struct {
+		method, path, body string
+		want               int
+	}{
+		{http.MethodPost, "/runs", `{"workload":"mst","functional":true,"scale":1}`, http.StatusCreated},
+		{http.MethodPost, "/sweeps", `{"workloads":["mst"],"configs":["CPP"],"scales":[1],"functional":true}`, http.StatusAccepted},
+		{http.MethodPost, "/runs", `{"workload":"treeadd","scale":-1}`, http.StatusBadRequest},
+		{http.MethodPost, "/sweeps", `{"configs":["CPP"]}`, http.StatusBadRequest},
+		{http.MethodDelete, fmt.Sprintf("/runs/%d", stalled.ID), "", http.StatusAccepted},
+	} {
+		req, err := http.NewRequest(c.method, ts.URL+c.path, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body := readAll(t, resp)
+		if resp.StatusCode != c.want {
+			t.Fatalf("%s %s: status %d, want %d (body %s)", c.method, c.path, resp.StatusCode, c.want, body)
+		}
+		if ct := resp.Header.Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s %s: Content-Type %q, want application/json", c.method, c.path, ct)
+		}
+		if !json.Valid([]byte(body)) {
+			t.Errorf("%s %s: body is not JSON: %q", c.method, c.path, body)
 		}
 	}
 }

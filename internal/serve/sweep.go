@@ -235,17 +235,6 @@ func (ss *sweepSet) get(id int) (*Sweep, bool) {
 	return sw, ok
 }
 
-// all returns every retained sweep in admission order.
-func (ss *sweepSet) all() []*Sweep {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	out := make([]*Sweep, 0, len(ss.order))
-	for _, id := range ss.order {
-		out = append(out, ss.sweeps[id])
-	}
-	return out
-}
-
 // register admits a sweep and applies retention (oldest terminal sweeps
 // beyond the bound are forgotten).
 func (ss *sweepSet) register(sw *Sweep) error {
@@ -495,7 +484,7 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 			return
 		}
 		var err error
-		run, err = g.Launch(ch.Spec)
+		run, err = g.Launch(ch.Spec, false)
 		if err == nil {
 			break
 		}
@@ -555,24 +544,5 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 	})
 }
 
-// Sweeps returns every retained sweep in admission order.
-func (g *Registry) Sweeps() []*Sweep { return g.sweeps.all() }
-
 // GetSweep returns the sweep with the given id.
 func (g *Registry) GetSweep(id int) (*Sweep, bool) { return g.sweeps.get(id) }
-
-// CancelSweep requests fan-out cancellation of a running sweep.
-func (g *Registry) CancelSweep(id int) error {
-	sw, ok := g.sweeps.get(id)
-	if !ok {
-		return fmt.Errorf("no sweep %d", id)
-	}
-	if sw.terminal() {
-		sw.mu.Lock()
-		state := sw.state
-		sw.mu.Unlock()
-		return fmt.Errorf("sweep %d is already %s", id, state)
-	}
-	sw.requestCancel()
-	return nil
-}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -37,34 +36,11 @@ func (s *Server) handleSweepLaunch(w http.ResponseWriter, r *http.Request) {
 	}
 	sw, err := s.reg.LaunchSweep(spec)
 	if err != nil {
-		var se *SpecError
-		switch {
-		case errors.As(err, &se):
-			w.Header().Set("Content-Type", "application/json")
-			w.WriteHeader(http.StatusBadRequest)
-			json.NewEncoder(w).Encode(se)
-		case errors.Is(err, ErrDraining):
-			retryAfter(w)
-			jsonError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			jsonError(w, http.StatusUnprocessableEntity, "%v", err)
-		}
+		writeLaunchError(w, err)
 		return
 	}
 	w.Header().Set("Location", fmt.Sprintf("/sweeps/%d", sw.ID))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, sw.Status())
-}
-
-// handleSweepList is GET /sweeps: every retained sweep, newest first.
-func (s *Server) handleSweepList(w http.ResponseWriter, _ *http.Request) {
-	sweeps := s.reg.Sweeps()
-	out := make([]SweepStatus, 0, len(sweeps))
-	for i := len(sweeps) - 1; i >= 0; i-- {
-		out = append(out, sweeps[i].Status())
-	}
-	writeJSON(w, out)
+	writeJSON(w, http.StatusAccepted, sw.Status())
 }
 
 // handleSweep is GET /sweeps/{id}: the aggregate status with per-child
@@ -74,7 +50,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, sw.Status())
+	writeJSON(w, http.StatusOK, sw.Status())
 }
 
 // handleSweepTable is GET /sweeps/{id}/table: the deterministic TSV
@@ -91,22 +67,6 @@ func (s *Server) handleSweepTable(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "text/tab-separated-values; charset=utf-8")
 	fmt.Fprint(w, sw.Table())
-}
-
-// handleSweepCancel is DELETE /sweeps/{id}: fan-out cancellation. The
-// sweep still finalises asynchronously (children observe the canceled
-// context), so the response is 202 with the current status.
-func (s *Server) handleSweepCancel(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFromPath(w, r)
-	if !ok {
-		return
-	}
-	if err := s.reg.CancelSweep(sw.ID); err != nil {
-		jsonError(w, http.StatusConflict, "%v", err)
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
-	writeJSONBody(w, sw.Status())
 }
 
 // handleSweepStream is GET /sweeps/{id}/stream: SSE progress. Each event

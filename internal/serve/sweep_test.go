@@ -159,8 +159,8 @@ func TestSweepValidation400s(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: status %d, want 400", resp.StatusCode)
 	}
-	if n := len(reg.Sweeps()); n != 0 {
-		t.Fatalf("%d sweeps admitted by invalid requests, want 0", n)
+	if _, ok := reg.GetSweep(1); ok {
+		t.Fatal("an invalid request admitted a sweep")
 	}
 }
 
@@ -215,10 +215,9 @@ func TestSweepTableDeterministic(t *testing.T) {
 	}
 }
 
-// TestSweepCancelFansOut: canceling a sweep whose children are all parked
-// behind a stalled slot cancels every child and finalises the sweep as
-// canceled; the table stays 409 until then and the terminal sweep rejects
-// a second cancel.
+// TestSweepCancelFansOut: a drain cancels a sweep whose children are all
+// parked behind a stalled slot; every child is canceled and the sweep
+// finalises as canceled. The table stays 409 until then.
 func TestSweepCancelFansOut(t *testing.T) {
 	ts, reg := newFaultServer(t, Config{MaxRunning: 1}, stall)
 	// Park the only slot so every sweep child stays queued.
@@ -236,15 +235,9 @@ func TestSweepCancelFansOut(t *testing.T) {
 	}
 	fetchText(t, ts, fmt.Sprintf("/sweeps/%d/table", st.ID), http.StatusConflict)
 
-	req, _ := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sweeps/%d", ts.URL, st.ID), nil)
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	readAll(t, resp)
-	if resp.StatusCode != http.StatusAccepted {
-		t.Fatalf("DELETE sweep: status %d, want 202", resp.StatusCode)
-	}
+	// The drain waits for the stalled blocker, which the test cancels last.
+	drained := make(chan bool, 1)
+	go func() { drained <- reg.Drain(30 * time.Second) }()
 
 	final := waitSweep(t, ts, st.ID)
 	if final.State != SweepCanceled {
@@ -261,15 +254,11 @@ func TestSweepCancelFansOut(t *testing.T) {
 		t.Errorf("canceled sweep table missing canceled rows:\n%s", table)
 	}
 
-	// A second cancel of the now-terminal sweep is a 409.
-	req, _ = http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/sweeps/%d", ts.URL, st.ID), nil)
-	resp, err = http.DefaultClient.Do(req)
-	if err != nil {
+	if err := reg.Cancel(blocker.ID, "unblock"); err != nil {
 		t.Fatal(err)
 	}
-	readAll(t, resp)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("second DELETE: status %d, want 409", resp.StatusCode)
+	if !<-drained {
+		t.Error("drain timed out")
 	}
 }
 
@@ -394,26 +383,6 @@ func TestSweepSSEProgress(t *testing.T) {
 		t.Fatalf("end event state %s counts %v, want done with 2 done children",
 			final.State, final.Counts)
 	}
-}
-
-// TestSweepListNewestFirst: GET /sweeps lists retained sweeps newest
-// first, and unknown ids are 404.
-func TestSweepListNewestFirst(t *testing.T) {
-	ts, _ := newTestServer(t)
-	a := launchSweep(t, ts, `{"workloads":["mst"],"configs":["CPP"],"functional":true}`)
-	b := launchSweep(t, ts, `{"workloads":["treeadd"],"configs":["CPP"],"functional":true}`)
-	waitSweep(t, ts, a.ID)
-	waitSweep(t, ts, b.ID)
-
-	body := fetchText(t, ts, "/sweeps", http.StatusOK)
-	var list []SweepStatus
-	if err := json.Unmarshal([]byte(body), &list); err != nil {
-		t.Fatalf("bad sweep list %q: %v", body, err)
-	}
-	if len(list) != 2 || list[0].ID != b.ID || list[1].ID != a.ID {
-		t.Fatalf("list order %v, want [%d %d]", []int{list[0].ID, list[1].ID}, b.ID, a.ID)
-	}
-	fetchText(t, ts, "/sweeps/999", http.StatusNotFound)
 }
 
 // TestSweepMemoized: with memoization on, a sweep repeating an

@@ -326,8 +326,8 @@ type sseGap struct {
 //     reported it — received-then-dropped + Σ gap.dropped == the
 //     registry's drop counter.
 func TestSlowReaderMidStreamGapAccounting(t *testing.T) {
-	ts, reg, srv := newServerWith(t, Config{SnapRing: 4})
-	st := launch(t, ts, `{"workload":"treeadd","functional":true,"scale":1,"interval":200}`)
+	ts, reg, srv := newServerWith(t, Config{})
+	st := launch(t, ts, ringSpec)
 
 	gw := &gatedWriter{gate: make(chan struct{})}
 	done := make(chan struct{})
