@@ -360,7 +360,9 @@ type ObserveOptions struct {
 	// OnSnapshot, when set, receives each interval snapshot synchronously
 	// as it is taken, while the run is still in flight. The callback runs
 	// on the simulation goroutine; consumers that share the snapshot with
-	// other goroutines must do their own locking.
+	// other goroutines must do their own locking. The callback owns the
+	// series: the Observation then keeps none (Intervals is 0, and
+	// Snapshots, MetricsCSV and MetricsJSON are empty).
 	OnSnapshot func(obs.Snapshot)
 }
 

@@ -2,8 +2,11 @@ package cppcache
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
+
+	"cppcache/internal/obs"
 )
 
 func TestConfigsAndBenchmarks(t *testing.T) {
@@ -49,6 +52,29 @@ func TestRunFunctionalOnly(t *testing.T) {
 	}
 	if res.L1Misses == 0 || res.MemTrafficWords == 0 {
 		t.Errorf("functional run missing cache stats: %+v", res)
+	}
+}
+
+// TestObserveOnSnapshotOwnsSeries: with an OnSnapshot callback the
+// Observation keeps no series, and the callback sees every snapshot a
+// retaining run of the same spec keeps.
+func TestObserveOnSnapshotOwnsSeries(t *testing.T) {
+	run := func(onSnap func(obs.Snapshot)) *Observation {
+		_, ob, err := Run(context.Background(), "olden.treeadd", BC, Options{Scale: 1, FunctionalOnly: true,
+			Observe: &ObserveOptions{IntervalCycles: 1000, OnSnapshot: onSnap}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return ob
+	}
+	var seen []obs.Snapshot
+	streamed := run(func(s obs.Snapshot) { seen = append(seen, s) })
+	kept := run(nil).Snapshots()
+	if n := streamed.Intervals(); n != 0 {
+		t.Errorf("streamed run kept %d intervals, want 0", n)
+	}
+	if len(kept) < 2 || !reflect.DeepEqual(seen, kept) {
+		t.Errorf("callback saw %d snapshots, the retaining run kept %d; want the same series", len(seen), len(kept))
 	}
 }
 

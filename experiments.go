@@ -8,30 +8,7 @@ import (
 
 // Table is a named grid of values: rows are benchmarks, columns are
 // configurations or metrics, exactly as the paper's figures present them.
-type Table struct {
-	Title string
-	Note  string
-	Rows  []string
-	Cols  []string
-	Cells [][]float64
-}
-
-func fromStats(t *stats.Table) *Table {
-	return &Table{Title: t.Title, Note: t.Note, Rows: t.Rows, Cols: t.Cols, Cells: t.Cells}
-}
-
-// String renders the table as aligned ASCII.
-func (t *Table) String() string { return t.toStats().String() }
-
-// CSV renders the table as comma-separated values.
-func (t *Table) CSV() string { return t.toStats().CSV() }
-
-// Get reads a cell by row and column name.
-func (t *Table) Get(row, col string) float64 { return t.toStats().Get(row, col) }
-
-func (t *Table) toStats() *stats.Table {
-	return &stats.Table{Title: t.Title, Note: t.Note, Rows: t.Rows, Cols: t.Cols, Cells: t.Cells}
-}
+type Table = stats.Table
 
 // Suite caches simulation results across figures so the experiments that
 // share runs (Figures 10-15) simulate each benchmark x configuration pair
@@ -57,51 +34,39 @@ func NewSuite(opt SuiteOptions) *Suite {
 	})}
 }
 
-func (s *Suite) table(f func() (*stats.Table, error)) (*Table, error) {
-	t, err := f()
-	if err != nil {
-		return nil, err
-	}
-	return fromStats(t), nil
-}
-
 // Figure3 reproduces the value-compressibility study: the fraction of
 // dynamically accessed values that are small, pointer-like, or
 // incompressible (paper average: 59% compressible).
-func (s *Suite) Figure3() (*Table, error) { return s.table(s.s.Compressibility) }
+func (s *Suite) Figure3() (*Table, error) { return s.s.Compressibility() }
 
 // Figure10 reproduces the memory-traffic comparison, normalised to BC
 // (paper averages: BCC 0.60, BCP 1.80, CPP 0.90).
-func (s *Suite) Figure10() (*Table, error) { return s.table(s.s.MemoryTraffic) }
+func (s *Suite) Figure10() (*Table, error) { return s.s.MemoryTraffic() }
 
 // Figure11 reproduces the execution-time comparison, normalised to BC
 // (paper: CPP 7% faster than BC, 2% faster than HAC on average).
-func (s *Suite) Figure11() (*Table, error) { return s.table(s.s.ExecutionTime) }
+func (s *Suite) Figure11() (*Table, error) { return s.s.ExecutionTime() }
 
 // Figure12 reproduces the L1 miss comparison (paper: CPP reduces the L1
 // miss rate 14% on average).
-func (s *Suite) Figure12() (*Table, error) {
-	return s.table(func() (*stats.Table, error) { return s.s.CacheMisses(1) })
-}
+func (s *Suite) Figure12() (*Table, error) { return s.s.CacheMisses(1) }
 
 // Figure13 reproduces the L2 miss comparison.
-func (s *Suite) Figure13() (*Table, error) {
-	return s.table(func() (*stats.Table, error) { return s.s.CacheMisses(2) })
-}
+func (s *Suite) Figure13() (*Table, error) { return s.s.CacheMisses(2) }
 
 // Figure14 reproduces the miss-importance study: the fraction of
 // instructions directly dependent on cache misses, estimated via Amdahl's
 // law from a halved-miss-penalty run (paper: CPP reduces the importance of
 // misses relative to BC and HAC).
-func (s *Suite) Figure14() (*Table, error) { return s.table(s.s.MissImportance) }
+func (s *Suite) Figure14() (*Table, error) { return s.s.MissImportance() }
 
 // Figure15 reproduces the ready-queue study: the average ready-queue
 // length during cycles with an outstanding miss, CPP vs HAC (paper:
 // improvements up to 78%).
-func (s *Suite) Figure15() (*Table, error) { return s.table(s.s.ReadyQueue) }
+func (s *Suite) Figure15() (*Table, error) { return s.s.ReadyQueue() }
 
 // InstructionMix is a supporting table: the opcode mix of every trace.
-func (s *Suite) InstructionMix() (*Table, error) { return s.table(s.s.InstructionMix) }
+func (s *Suite) InstructionMix() (*Table, error) { return s.s.InstructionMix() }
 
 func baselineTable() string {
 	return experiments.BaselineTable()
@@ -113,25 +78,17 @@ func baselineTable() string {
 // out across workers (0 = GOMAXPROCS); the table is identical for any
 // worker count.
 func SchemeTraffic(scale, workers int) (*Table, error) {
-	t, err := experiments.SchemeTraffic(scale, workers)
-	if err != nil {
-		return nil, err
-	}
-	return fromStats(t), nil
+	return experiments.SchemeTraffic(scale, workers)
 }
 
 // RelatedWorkTime compares CPP against the related-work designs the paper
 // discusses in §5 — Jouppi's victim cache (VC) and the line-level
 // compression cache (LCC) — on execution time, normalised to BC.
-func (s *Suite) RelatedWorkTime() (*Table, error) {
-	return s.table(func() (*stats.Table, error) { return s.s.RelatedWork("time") })
-}
+func (s *Suite) RelatedWorkTime() (*Table, error) { return s.s.RelatedWork("time") }
 
 // RelatedWorkTraffic is RelatedWorkTime for off-chip traffic.
-func (s *Suite) RelatedWorkTraffic() (*Table, error) {
-	return s.table(func() (*stats.Table, error) { return s.s.RelatedWork("traffic") })
-}
+func (s *Suite) RelatedWorkTraffic() (*Table, error) { return s.s.RelatedWork("traffic") }
 
 // Energy estimates each configuration's dynamic energy (linear event
 // model), normalised to BC.
-func (s *Suite) Energy() (*Table, error) { return s.table(s.s.Energy) }
+func (s *Suite) Energy() (*Table, error) { return s.s.Energy() }

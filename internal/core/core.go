@@ -140,76 +140,60 @@ func (h *Hierarchy) SetRecorder(r *obs.Recorder) {
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Read implements memsys.System.
-func (h *Hierarchy) Read(a mach.Addr) (mach.Word, int) {
-	a = mach.WordAlign(a)
-	h.stats.L1.Accesses++
-	n := h.l1.geom.LineNumber(a)
-	w := h.l1.geom.WordIndex(a)
-
-	bit := uint64(1) << uint(w)
-
-	if f := h.l1.frameByTag(n); f != nil && f.pa&bit != 0 {
-		h.l1.touch(f)
-		return h.l1.readPrimary(f, w, a), h.cfg.Lat.L1Hit
-	}
-	// The affiliated place: frame whose primary line is n's partner.
-	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa&bit != 0 {
-		h.l1.touch(af)
-		h.stats.AffHitsL1++
-		h.obs.Event(obs.EvAffHitL1, a, 0)
-		h.obs.AttrAffHit(a)
-		return h.l1.readAff(af, w, a), h.cfg.Lat.AffHit
-	}
-
-	h.stats.L1.Misses++
-	h.obs.AttrMiss(a)
-	f, lat := h.fillL1(n, w)
-	if f.pa&bit == 0 {
-		panic("core: word absent after L1 fill")
-	}
-	return h.l1.readPrimary(f, w, a), lat
-}
+func (h *Hierarchy) Read(a mach.Addr) (mach.Word, int) { return h.access(a, false, 0) }
 
 // Write implements memsys.System.
 func (h *Hierarchy) Write(a mach.Addr, v mach.Word) int {
+	_, lat := h.access(a, true, v)
+	return lat
+}
+
+// access is the shared demand read/write path. Its three paths are a
+// primary hit, an affiliated hit and a miss; the primary hit and the miss
+// end on an available primary word, as does a write's affiliated hit,
+// which first promotes the line. A write returns 0.
+func (h *Hierarchy) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
 	a = mach.WordAlign(a)
 	h.stats.L1.Accesses++
 	n := h.l1.geom.LineNumber(a)
 	w := h.l1.geom.WordIndex(a)
 	bit := uint64(1) << uint(w)
 
-	if f := h.l1.frameByTag(n); f != nil && f.pa&bit != 0 {
+	lat := h.cfg.Lat.L1Hit
+	f := h.l1.frameByTag(n)
+	if f != nil && f.pa&bit != 0 {
 		h.l1.touch(f)
-		h.writePrimaryWord(f, w, a, v)
-		return h.cfg.Lat.L1Hit
-	}
-
-	if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa&bit != 0 {
-		// §3.3: "a write hit in the affiliated cache line will bring
-		// the line to its primary place". The promoted line keeps the
-		// words held in the affiliated place plus whatever the L2 has
-		// on chip; no memory access is needed.
+	} else if af := h.l1.frameByTag(n ^ h.cfg.Mask); af != nil && af.aa&bit != 0 {
+		// The affiliated place: frame whose primary line is n's partner.
 		h.l1.touch(af)
 		h.stats.AffHitsL1++
+		lat = h.cfg.Lat.AffHit
+		if !write {
+			h.obs.Event(obs.EvAffHitL1, a, 0)
+			h.obs.AttrAffHit(a)
+			return h.l1.readAff(af, w, a), lat
+		}
+		// §3.3: "a write hit in the affiliated cache line will bring the
+		// line to its primary place". The promoted line keeps the words
+		// held in the affiliated place plus whatever the L2 has on chip;
+		// no memory access is needed.
 		h.stats.Promotions++
 		h.obs.Event(obs.EvPromote, a, 0)
 		h.obs.AttrAffHit(a)
-		f := h.promoteL1(n)
-		if f.pa&bit == 0 {
-			panic("core: word absent after promotion")
-		}
-		h.writePrimaryWord(f, w, a, v)
-		return h.cfg.Lat.AffHit
+		f = h.promoteL1(n)
+	} else {
+		h.stats.L1.Misses++
+		h.obs.AttrMiss(a)
+		f, lat = h.fillL1(n, w)
 	}
-
-	h.stats.L1.Misses++
-	h.obs.AttrMiss(a)
-	f, lat := h.fillL1(n, w)
 	if f.pa&bit == 0 {
-		panic("core: word absent after L1 fill on write")
+		panic("core: word absent after L1 fill or promotion")
 	}
-	h.writePrimaryWord(f, w, a, v)
-	return lat
+	if write {
+		h.writePrimaryWord(f, w, a, v)
+		return 0, lat
+	}
+	return h.l1.readPrimary(f, w, a), lat
 }
 
 // writePrimaryWord stores v into an available primary word, handling the

@@ -12,6 +12,10 @@
 //   - BCP: BC plus hardware prefetch-on-miss with an 8-entry fully
 //     associative L1 prefetch buffer and a 32-entry L2 prefetch buffer
 //     (implemented in prefetch.go).
+//
+// The related-work designs VC (victim.go) and LCC (linecomp.go) differ
+// from BC only in the L1. Every hierarchy here shares one L2-and-memory
+// side, lower, behind its own L1 front.
 package hier
 
 import (
@@ -27,14 +31,12 @@ import (
 
 // Config describes a conventional two-level hierarchy.
 type Config struct {
-	Name            string
-	L1, L2          cache.Params
-	Lat             memsys.Latencies
-	CompressTraffic bool // BCC: count off-chip transfers compressed
-	// Comp selects the line-compression scheme used for compressed
-	// transfers (and the L2 compression tag metadata). nil means the
-	// paper's reference scheme; it only matters when CompressTraffic is
-	// set.
+	Name   string
+	L1, L2 cache.Params
+	Lat    memsys.Latencies
+	// Comp, when non-nil, compresses off-chip transfers under that scheme
+	// (BCC, LCC) and sizes the L2's compression tag metadata. nil
+	// transfers lines uncompressed.
 	Comp compress.Compressor
 }
 
@@ -49,11 +51,11 @@ func BaselineConfig() Config {
 }
 
 // CompressedConfig returns the BCC configuration: BC with compressed
-// off-chip transfers.
+// off-chip transfers under the paper's scheme.
 func CompressedConfig() Config {
 	c := BaselineConfig()
 	c.Name = "BCC"
-	c.CompressTraffic = true
+	c.Comp = compress.Default()
 	return c
 }
 
@@ -67,89 +69,74 @@ func HighAssocConfig() Config {
 	return c
 }
 
-// Standard is a conventional two-level write-back hierarchy (BC, BCC, HAC).
-type Standard struct {
+// lower is the L2-and-memory side every hierarchy of this package shares:
+// the L2 cache, bus-traffic accounting, the memory fetch, the L2 fill with
+// its dirty-victim write-back, the L1 write-back merge and the L2 half of
+// Drain. Standard and LCC embed it behind their own L1.
+type lower struct {
 	cfg   Config
-	l1    *cache.Cache
 	l2    *cache.Cache
 	mem   *mem.Memory
 	stats memsys.Stats
 	g1    mach.LineGeom
 	g2    mach.LineGeom
-	comp  compress.Compressor
+	comp  compress.Compressor // nil: uncompressed transfers
 
 	// obs, when non-nil, receives structured events and fill-word
 	// compressibility counts; a nil recorder costs one branch per hook.
 	obs *obs.Recorder
 
-	// fetchBuf stages one L2 line fetched from memory; valid until the
-	// next memFetchL2. Every caller hands it straight to fillL2, which
-	// copies it into the cache frame.
+	// fetchBuf stages one L2 line read from memory; valid until the next
+	// read. Every caller hands it straight to a Fill, which copies it into
+	// the cache frame.
 	fetchBuf []mach.Word
 }
 
-var _ memsys.System = (*Standard)(nil)
-
-// NewStandard builds a Standard hierarchy over main memory m.
-func NewStandard(cfg Config, m *mem.Memory) (*Standard, error) {
+// newLower validates cfg's L1 geometry and builds its L2 side over main
+// memory m.
+func newLower(cfg Config, m *mem.Memory) (lower, error) {
 	if cfg.L2.LineBytes < cfg.L1.LineBytes {
-		return nil, fmt.Errorf("hier: L2 line (%d B) smaller than L1 line (%d B)", cfg.L2.LineBytes, cfg.L1.LineBytes)
+		return lower{}, fmt.Errorf("hier: L2 line (%d B) smaller than L1 line (%d B)", cfg.L2.LineBytes, cfg.L1.LineBytes)
 	}
-	l1, err := cache.New(cfg.L1)
-	if err != nil {
-		return nil, fmt.Errorf("hier: L1: %w", err)
+	if err := cfg.L1.Validate(); err != nil {
+		return lower{}, fmt.Errorf("hier: L1: %w", err)
 	}
 	l2, err := cache.New(cfg.L2)
 	if err != nil {
-		return nil, fmt.Errorf("hier: L2: %w", err)
+		return lower{}, fmt.Errorf("hier: L2: %w", err)
 	}
-	comp := cfg.Comp
-	if comp == nil {
-		comp = compress.Default()
-	}
-	return &Standard{
-		cfg: cfg, l1: l1, l2: l2, mem: m,
-		g1: l1.Geom(), g2: l2.Geom(), comp: comp,
+	return lower{
+		cfg: cfg, l2: l2, mem: m,
+		g1: mach.LineGeom{LineBytes: cfg.L1.LineBytes}, g2: l2.Geom(), comp: cfg.Comp,
 		fetchBuf: make([]mach.Word, l2.Geom().Words()),
 	}, nil
 }
 
 // Name implements memsys.System.
-func (h *Standard) Name() string { return h.cfg.Name }
+func (h *lower) Name() string { return h.cfg.Name }
 
 // Stats implements memsys.System.
-func (h *Standard) Stats() *memsys.Stats { return &h.stats }
+func (h *lower) Stats() *memsys.Stats { return &h.stats }
 
 // SetRecorder implements obs.Attachable: it attaches the observability
 // recorder (nil detaches) and connects the statistics block for interval
-// snapshotting. Embedders (Prefetch, Victim) inherit it.
-func (h *Standard) SetRecorder(r *obs.Recorder) {
+// snapshotting. Every hierarchy of this package inherits it.
+func (h *lower) SetRecorder(r *obs.Recorder) {
 	h.obs = r
 	r.AttachStats(&h.stats)
 }
 
-// Occupancies implements memsys.Inspector. With compressed transfers,
-// the L2 also reports its lines' compressed size under the scheme,
-// mirroring the hardware's compression-status tag bits.
-func (h *Standard) Occupancies() []memsys.Occupancy {
-	var comp compress.Compressor
-	if h.cfg.CompressTraffic {
-		comp = h.comp
-	}
-	return []memsys.Occupancy{h.l1.Occupancy("L1", nil), h.l2.Occupancy("L2", comp)}
-}
-
-// lineHalves returns the bus cost of a line transfer in half-words,
-// honouring the configuration's compression setting and scheme.
-func (h *Standard) lineHalves(words []mach.Word, base mach.Addr) int64 {
-	if h.cfg.CompressTraffic {
+// lineHalves returns the bus cost of a line transfer in half-words under
+// the configuration's scheme, or uncompressed without one.
+func (h *lower) lineHalves(words []mach.Word, base mach.Addr) int64 {
+	if h.comp != nil {
 		return int64(h.comp.LineHalves(words, base))
 	}
 	return int64(2 * len(words))
 }
 
 // memFetchL2 reads the L2 line holding a from memory, accounting traffic.
-func (h *Standard) memFetchL2(a mach.Addr) []mach.Word {
+func (h *lower) memFetchL2(a mach.Addr) []mach.Word {
 	base := h.g2.LineAddr(a)
 	data := h.fetchBuf
 	h.mem.ReadLine(base, data)
@@ -161,28 +148,38 @@ func (h *Standard) memFetchL2(a mach.Addr) []mach.Word {
 }
 
 // memWriteback writes a dirty line's words to memory, accounting traffic.
-func (h *Standard) memWriteback(base mach.Addr, words []mach.Word) {
+func (h *lower) memWriteback(base mach.Addr, words []mach.Word) {
 	h.mem.WriteLine(base, words)
 	h.stats.MemWriteHalves += h.lineHalves(words, base)
 }
 
-// l2Writeback handles a dirty L1 victim: merge into L2 if resident there,
-// otherwise write through to memory.
-func (h *Standard) l2Writeback(ev cache.Evicted) {
+// l2Writeback handles dirty L1 line n: merge its words into the L2 if
+// resident there, otherwise write them through to memory.
+func (h *lower) l2Writeback(n mach.Addr, words []mach.Word) {
 	h.stats.L1.Writebacks++
-	base := h.g1.NumberToAddr(ev.Tag)
+	base := h.g1.NumberToAddr(n)
 	if l2line := h.l2.Probe(base); l2line != nil {
-		off := h.g2.WordIndex(base)
-		copy(l2line.Data[off:off+len(ev.Data)], ev.Data)
+		copy(h.l2Window(l2line, base), words)
 		l2line.Dirty = true
 		return
 	}
-	h.memWriteback(base, ev.Data)
+	h.memWriteback(base, words)
+}
+
+// fetchL2 counts an L2 access for the line holding a and returns its L2
+// line, filled from memory on a miss, with the access latency.
+func (h *lower) fetchL2(a mach.Addr) (*cache.Line, int) {
+	h.stats.L2.Accesses++
+	if l2line := h.l2.Access(a); l2line != nil {
+		return l2line, h.cfg.Lat.L2Hit
+	}
+	h.stats.L2.Misses++
+	return h.fillL2(a, h.memFetchL2(a)), h.cfg.Lat.Mem
 }
 
 // fillL2 installs an L2 line fetched from memory, handling the victim,
 // and returns the installed line.
-func (h *Standard) fillL2(a mach.Addr, data []mach.Word) *cache.Line {
+func (h *lower) fillL2(a mach.Addr, data []mach.Word) *cache.Line {
 	l, ev := h.l2.Fill(a, data)
 	if ev.Valid {
 		h.obs.Event(obs.EvEvictL2, h.g2.NumberToAddr(ev.Tag), evDirtyAux(ev.Dirty))
@@ -203,35 +200,78 @@ func evDirtyAux(dirty bool) int64 {
 	return 0
 }
 
+// l2Window returns the words of L2 line l2line that make up the L1 line
+// at base.
+func (h *lower) l2Window(l2line *cache.Line, base mach.Addr) []mach.Word {
+	off := h.g2.WordIndex(base)
+	return l2line.Data[off : off+h.g1.Words()]
+}
+
+// drainL2 writes every dirty L2 line to memory, overlaid with the fresher
+// words of each of its L1 lines that l1Words finds resident (nil when
+// not). It bypasses traffic accounting: Drain is a diagnostic flush.
+func (h *lower) drainL2(l1Words func(sub mach.Addr) []mach.Word) {
+	h.l2.Lines(func(base mach.Addr, l *cache.Line) {
+		if !l.Dirty {
+			return
+		}
+		data := append([]mach.Word(nil), l.Data...)
+		for i := 0; i < len(data); i += h.g1.Words() {
+			if words := l1Words(base + mach.Addr(i*mach.WordBytes)); words != nil {
+				copy(data[i:i+h.g1.Words()], words)
+			}
+		}
+		h.mem.WriteLine(base, data)
+		l.Dirty = false
+	})
+}
+
+// Standard is a conventional two-level write-back hierarchy (BC, BCC, HAC).
+type Standard struct {
+	lower
+	l1 *cache.Cache
+}
+
+var _ memsys.System = (*Standard)(nil)
+
+// NewStandard builds a Standard hierarchy over main memory m.
+func NewStandard(cfg Config, m *mem.Memory) (*Standard, error) {
+	lo, err := newLower(cfg, m)
+	if err != nil {
+		return nil, err
+	}
+	return &Standard{lower: lo, l1: cache.MustNew(cfg.L1)}, nil
+}
+
+// Occupancies implements memsys.Inspector. With compressed transfers,
+// the L2 also reports its lines' compressed size under the scheme,
+// mirroring the hardware's compression-status tag bits.
+func (h *Standard) Occupancies() []memsys.Occupancy {
+	return []memsys.Occupancy{h.l1.Occupancy("L1", nil), h.l2.Occupancy("L2", h.comp)}
+}
+
+// fillL1 installs data as the L1 line holding a, emitting the evict and
+// fill events, and returns the line with the displaced one, which the
+// caller writes back (or spills) if it is valid.
+func (h *Standard) fillL1(a mach.Addr, data []mach.Word) (*cache.Line, cache.Evicted) {
+	l, ev := h.l1.Fill(a, data)
+	if ev.Valid {
+		h.obs.Event(obs.EvEvictL1, h.g1.NumberToAddr(ev.Tag), evDirtyAux(ev.Dirty))
+	}
+	h.obs.Event(obs.EvFillL1, h.g1.LineAddr(a), int64(h.g1.Words()))
+	return l, ev
+}
+
 // fetchIntoL1 brings the L1 line holding a into L1 and returns it with
 // the total access latency. The L1 miss has already been counted by the
 // caller.
 func (h *Standard) fetchIntoL1(a mach.Addr) (*cache.Line, int) {
-	h.stats.L2.Accesses++
-	lat := h.cfg.Lat.L2Hit
-	l2line := h.l2.Access(a)
-	if l2line == nil {
-		h.stats.L2.Misses++
-		l2line = h.fillL2(a, h.memFetchL2(a))
-		lat = h.cfg.Lat.Mem
-	}
-	base := h.g1.LineAddr(a)
-	l, ev := h.l1.Fill(a, h.l2Window(l2line, base))
-	if ev.Valid {
-		h.obs.Event(obs.EvEvictL1, h.g1.NumberToAddr(ev.Tag), evDirtyAux(ev.Dirty))
-	}
+	l2line, lat := h.fetchL2(a)
+	l, ev := h.fillL1(a, h.l2Window(l2line, h.g1.LineAddr(a)))
 	if ev.Valid && ev.Dirty {
-		h.l2Writeback(ev)
+		h.l2Writeback(ev.Tag, ev.Data)
 	}
-	h.obs.Event(obs.EvFillL1, base, int64(h.g1.Words()))
 	return l, lat
-}
-
-// l2Window returns the words of L2 line l2line that make up the L1 line
-// at base.
-func (h *Standard) l2Window(l2line *cache.Line, base mach.Addr) []mach.Word {
-	off := h.g2.WordIndex(base)
-	return l2line.Data[off : off+h.g1.Words()]
 }
 
 // use performs a demand read or write of the word at a on resident L1
@@ -278,21 +318,10 @@ func (h *Standard) Drain() {
 			l.Dirty = false
 		}
 	})
-	h.l2.Lines(func(base mach.Addr, l *cache.Line) {
-		if l.Dirty {
-			// L1 held fresher data for any line it owned; only write L2
-			// words whose line is not dirty in L1. The L1 pass above
-			// already cleaned those, so a straight write is stale for
-			// overlapping words. Re-read the L1 copy to preserve it.
-			data := append([]mach.Word(nil), l.Data...)
-			for i := 0; i < len(data); i += h.g1.Words() {
-				sub := base + mach.Addr(i*mach.WordBytes)
-				if l1l := h.l1.Probe(sub); l1l != nil {
-					copy(data[i:i+h.g1.Words()], l1l.Data)
-				}
-			}
-			h.mem.WriteLine(base, data)
-			l.Dirty = false
+	h.drainL2(func(sub mach.Addr) []mach.Word {
+		if l := h.l1.Probe(sub); l != nil {
+			return l.Data
 		}
+		return nil
 	})
 }

@@ -25,9 +25,12 @@ func TestBaselineConfigMatchesPaper(t *testing.T) {
 	if h.L1.Assoc != 2 || h.L2.Assoc != 4 {
 		t.Errorf("HAC assoc = %d/%d, want 2/4", h.L1.Assoc, h.L2.Assoc)
 	}
-	p := PrefetchConfigDefault()
-	if p.L1BufEntries != 8 || p.L2BufEntries != 32 {
-		t.Errorf("BCP buffers = %d/%d, want 8/32", p.L1BufEntries, p.L2BufEntries)
+	p, err := NewPrefetch(PrefetchConfig(), mem.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n1, n2 := p.pf1.Params().Assoc, p.pf2.Params().Assoc; n1 != 8 || n2 != 32 {
+		t.Errorf("BCP buffers = %d/%d entries, want 8/32", n1, n2)
 	}
 }
 
@@ -185,7 +188,7 @@ func TestHACFewerConflictMisses(t *testing.T) {
 
 func TestPrefetchNextLineHit(t *testing.T) {
 	m := mem.New()
-	h, err := NewPrefetch(PrefetchConfigDefault(), m)
+	h, err := NewPrefetch(PrefetchConfig(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +210,7 @@ func TestPrefetchNextLineHit(t *testing.T) {
 func TestPrefetchStreamBehaviour(t *testing.T) {
 	// A sequential sweep should turn most L1 misses into buffer hits.
 	m := mem.New()
-	h, _ := NewPrefetch(PrefetchConfigDefault(), m)
+	h, _ := NewPrefetch(PrefetchConfig(), m)
 	for a := mach.Addr(0); a < 1<<14; a += 4 {
 		h.Read(a)
 	}
@@ -225,7 +228,7 @@ func TestPrefetchIncreasesTraffic(t *testing.T) {
 	// well beyond BC's (the paper reports +80% on average).
 	mA, mB := mem.New(), mem.New()
 	bc, _ := NewStandard(BaselineConfig(), mA)
-	bcp, _ := NewPrefetch(PrefetchConfigDefault(), mB)
+	bcp, _ := NewPrefetch(PrefetchConfig(), mB)
 	rng := rand.New(rand.NewSource(5))
 	for i := 0; i < 20000; i++ {
 		a := mach.Addr(rng.Intn(1<<20)) &^ 3
@@ -239,7 +242,7 @@ func TestPrefetchIncreasesTraffic(t *testing.T) {
 
 func TestPrefetchCoherenceRandom(t *testing.T) {
 	m := mem.New()
-	h, _ := NewPrefetch(PrefetchConfigDefault(), m)
+	h, _ := NewPrefetch(PrefetchConfig(), m)
 	shadow := map[mach.Addr]mach.Word{}
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 100000; i++ {
@@ -262,7 +265,7 @@ func TestPrefetchCoherenceRandom(t *testing.T) {
 
 func TestPrefetchWriteToBufferedLine(t *testing.T) {
 	m := mem.New()
-	h, _ := NewPrefetch(PrefetchConfigDefault(), m)
+	h, _ := NewPrefetch(PrefetchConfig(), m)
 	h.Read(0x1000) // prefetches 0x1040
 	if h.pf1.Probe(0x1040) == nil {
 		t.Fatal("expected 0x1040 buffered")
@@ -289,6 +292,10 @@ func TestStandardSteadyStateAllocationFree(t *testing.T) {
 		configs = append(configs, c)
 	}
 	for _, cfg := range configs {
+		scheme := "uncompressed"
+		if cfg.Comp != nil {
+			scheme = cfg.Comp.Name()
+		}
 		h, err := NewStandard(cfg, mem.New())
 		if err != nil {
 			t.Fatal(err)
@@ -309,7 +316,7 @@ func TestStandardSteadyStateAllocationFree(t *testing.T) {
 			t.Fatalf("%s: batch exercised no write-backs at both levels: %+v", cfg.Name, *s)
 		}
 		if avg := testing.AllocsPerRun(10, batch); avg > 0 {
-			t.Errorf("steady-state %s batch (%s) allocated %.1f times, want 0", cfg.Name, h.comp.Name(), avg)
+			t.Errorf("steady-state %s batch (%s) allocated %.1f times, want 0", cfg.Name, scheme, avg)
 		}
 	}
 }
@@ -320,7 +327,7 @@ func TestVictimSteadyStateAllocationFree(t *testing.T) {
 	// nothing. Four lines ping-ponging in one L1 set hit the victim cache
 	// on nearly every access; the random accesses add conflict misses
 	// and dirty write-backs.
-	h, err := NewVictim(VictimConfigDefault(), mem.New())
+	h, err := NewVictim(VictimConfig(), mem.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -355,7 +362,7 @@ func TestPrefetchSteadyStateAllocationFree(t *testing.T) {
 	// write-backs — must not allocate at all. This pins the BCP
 	// allocation fix (~20k -> ~1k allocations per simulated run).
 	m := mem.New()
-	h, err := NewPrefetch(PrefetchConfigDefault(), m)
+	h, err := NewPrefetch(PrefetchConfig(), m)
 	if err != nil {
 		t.Fatal(err)
 	}

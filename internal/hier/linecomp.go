@@ -1,8 +1,6 @@
 package hier
 
 import (
-	"fmt"
-
 	"cppcache/internal/cache"
 	"cppcache/internal/compress"
 	"cppcache/internal/mach"
@@ -23,25 +21,11 @@ import (
 //
 // The L1 is modelled with paired frames: each physical frame can hold one
 // uncompressed line or two fully-compressible lines. The L2 and memory
-// interface follow the baseline (with compressed bus transfers, since the
+// side is the baseline's (with compressed bus transfers, since the
 // hardware has compressors anyway).
 type LCC struct {
-	cfg   Config
-	l1    *lccArray
-	l2    *cache.Cache
-	mem   *mem.Memory
-	stats memsys.Stats
-	g1    mach.LineGeom
-	g2    mach.LineGeom
-	comp  compress.Compressor
-
-	// obs, when non-nil, receives fill-word compressibility counts and
-	// attribution events; a nil recorder costs one branch per hook.
-	obs *obs.Recorder
-
-	// fetchBuf stages one L2 line fetched from memory; cache.Fill copies
-	// it, so one buffer serves every miss.
-	fetchBuf []mach.Word
+	lower
+	l1 *lccArray
 }
 
 var _ memsys.System = (*LCC)(nil)
@@ -50,48 +34,21 @@ var _ memsys.System = (*LCC)(nil)
 func LCCConfig() Config {
 	c := BaselineConfig()
 	c.Name = "LCC"
-	c.CompressTraffic = true
+	c.Comp = compress.Default()
 	return c
 }
 
-// NewLCC builds the LCC hierarchy over main memory m.
+// NewLCC builds the LCC hierarchy over main memory m. LCC always
+// compresses: a nil cfg.Comp selects the paper's scheme.
 func NewLCC(cfg Config, m *mem.Memory) (*LCC, error) {
-	if err := cfg.L1.Validate(); err != nil {
-		return nil, fmt.Errorf("hier: LCC L1: %w", err)
+	if cfg.Comp == nil {
+		cfg.Comp = compress.Default()
 	}
-	l2, err := cache.New(cfg.L2)
+	lo, err := newLower(cfg, m)
 	if err != nil {
-		return nil, fmt.Errorf("hier: LCC L2: %w", err)
+		return nil, err
 	}
-	comp := cfg.Comp
-	if comp == nil {
-		comp = compress.Default()
-	}
-	h := &LCC{
-		cfg:      cfg,
-		l1:       newLCCArray(cfg.L1, comp),
-		l2:       l2,
-		mem:      m,
-		g1:       mach.LineGeom{LineBytes: cfg.L1.LineBytes},
-		g2:       mach.LineGeom{LineBytes: cfg.L2.LineBytes},
-		comp:     comp,
-		fetchBuf: make([]mach.Word, l2.Geom().Words()),
-	}
-	return h, nil
-}
-
-// Name implements memsys.System.
-func (h *LCC) Name() string { return h.cfg.Name }
-
-// Stats implements memsys.System.
-func (h *LCC) Stats() *memsys.Stats { return &h.stats }
-
-// SetRecorder implements obs.Attachable: it attaches the observability
-// recorder (nil detaches) and connects the statistics block for interval
-// snapshotting.
-func (h *LCC) SetRecorder(r *obs.Recorder) {
-	h.obs = r
-	r.AttachStats(&h.stats)
+	return &LCC{lower: lo, l1: newLCCArray(cfg.L1, cfg.Comp)}, nil
 }
 
 // lccLine is one resident line within a shared frame.
@@ -340,7 +297,7 @@ func (h *LCC) evictFrameMate(n mach.Addr) {
 					// The slot keeps its data until the next fill, so
 					// the write-back can read it in place.
 					mate.valid = false
-					h.writeback(*mate)
+					h.l2Writeback(mate.tag, mate.data)
 					h.stats.ConflictEvictions++
 				}
 				return
@@ -352,54 +309,19 @@ func (h *LCC) evictFrameMate(n mach.Addr) {
 // fetch brings line n in from the L2 (or memory), installs it and
 // returns it with the access latency.
 func (h *LCC) fetch(n mach.Addr) (*lccLine, int) {
-	h.stats.L2.Accesses++
-	lat := h.cfg.Lat.L2Hit
 	base := h.g1.NumberToAddr(n)
-	l2line := h.l2.Access(base)
-	if l2line == nil {
-		h.stats.L2.Misses++
-		data := h.fetchBuf
-		l2base := h.g2.LineAddr(base)
-		h.mem.ReadLine(l2base, data)
-		h.stats.MemReadHalves += int64(h.comp.LineHalves(data, l2base))
-		if h.obs != nil {
-			h.obs.FillLine(data, l2base)
-		}
-		var ev cache.Evicted
-		l2line, ev = h.l2.Fill(base, data)
-		if ev.Valid && ev.Dirty {
-			evBase := h.g2.NumberToAddr(ev.Tag)
-			h.mem.WriteLine(evBase, ev.Data)
-			h.stats.MemWriteHalves += int64(h.comp.LineHalves(ev.Data, evBase))
-			h.stats.L2.Writebacks++
-		}
-		lat = h.cfg.Lat.Mem
-	}
+	l2line, lat := h.fetchL2(base)
 	// install copies the window into the L1 before any evicted line is
 	// written back into the L2, so the window can alias the L2 line.
-	off := h.g2.WordIndex(base)
-	window := l2line.Data[off : off+h.g1.Words()]
-	l, evicted := h.l1.install(n, window, &h.stats.AffWordsPrefetchedL1)
+	l, evicted := h.l1.install(n, h.l2Window(l2line, base), &h.stats.AffWordsPrefetchedL1)
 	for _, ev := range evicted {
+		h.obs.Event(obs.EvEvictL1, h.g1.NumberToAddr(ev.tag), evDirtyAux(ev.dirty))
 		if ev.dirty {
-			h.writeback(ev)
+			h.l2Writeback(ev.tag, ev.data)
 		}
 	}
+	h.obs.Event(obs.EvFillL1, base, int64(h.g1.Words()))
 	return l, lat
-}
-
-// writeback merges a dirty L1 line into the L2, or memory if absent.
-func (h *LCC) writeback(l lccLine) {
-	h.stats.L1.Writebacks++
-	base := h.g1.NumberToAddr(l.tag)
-	if l2line := h.l2.Probe(base); l2line != nil {
-		off := h.g2.WordIndex(base)
-		copy(l2line.Data[off:off+len(l.data)], l.data)
-		l2line.Dirty = true
-		return
-	}
-	h.mem.WriteLine(base, l.data)
-	h.stats.MemWriteHalves += int64(h.comp.LineHalves(l.data, base))
 }
 
 // Read implements memsys.System.
@@ -457,17 +379,10 @@ func (h *LCC) Drain() {
 			}
 		}
 	}
-	h.l2.Lines(func(base mach.Addr, l *cache.Line) {
-		if l.Dirty {
-			data := append([]mach.Word(nil), l.Data...)
-			for i := 0; i < len(data); i += h.g1.Words() {
-				sub := base + mach.Addr(i*mach.WordBytes)
-				if l1l := h.l1.find(h.g1.LineNumber(sub)); l1l != nil {
-					copy(data[i:i+h.g1.Words()], l1l.data)
-				}
-			}
-			h.mem.WriteLine(base, data)
-			l.Dirty = false
+	h.drainL2(func(sub mach.Addr) []mach.Word {
+		if l := h.l1.find(h.g1.LineNumber(sub)); l != nil {
+			return l.data
 		}
+		return nil
 	})
 }

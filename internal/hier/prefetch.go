@@ -1,8 +1,6 @@
 package hier
 
 import (
-	"fmt"
-
 	"cppcache/internal/cache"
 	"cppcache/internal/mach"
 	"cppcache/internal/mem"
@@ -10,26 +8,28 @@ import (
 	"cppcache/internal/obs"
 )
 
-// PrefetchConfig describes the BCP hierarchy: the baseline caches plus
-// hardware next-line prefetching with dedicated fully associative prefetch
-// buffers ("we invest the hardware cost in BCC/CPP to cache prefetch
-// buffers. A 8-entry prefetch buffer is used to help the L1 cache and a
-// 32-entry prefetch buffer is used to help the L2 cache. Both are fully
-// associative with LRU replacement").
-type PrefetchConfig struct {
-	Config
-	L1BufEntries int
-	L2BufEntries int
-	// Degree is how many consecutive next lines a miss prefetches
-	// (1 = the paper's next-line policy; more is an ablation).
-	Degree int
-}
+// The BCP prefetch buffers (§4.4): "we invest the hardware cost in BCC/CPP
+// to cache prefetch buffers. A 8-entry prefetch buffer is used to help the
+// L1 cache and a 32-entry prefetch buffer is used to help the L2 cache.
+// Both are fully associative with LRU replacement".
+const (
+	l1BufEntries = 8
+	l2BufEntries = 32
+)
 
-// PrefetchConfigDefault returns the paper's BCP configuration.
-func PrefetchConfigDefault() PrefetchConfig {
+// PrefetchConfig returns the paper's BCP configuration: the baseline
+// caches, to which NewPrefetch adds the prefetch buffers.
+func PrefetchConfig() Config {
 	c := BaselineConfig()
 	c.Name = "BCP"
-	return PrefetchConfig{Config: c, L1BufEntries: 8, L2BufEntries: 32, Degree: 1}
+	return c
+}
+
+// fullyAssoc builds a fully associative LRU buffer of entries lines of
+// lineBytes each, a geometry the L1 and L2 it serves have already
+// validated.
+func fullyAssoc(entries, lineBytes int) *cache.Cache {
+	return cache.MustNew(cache.Params{SizeBytes: entries * lineBytes, Assoc: entries, LineBytes: lineBytes})
 }
 
 // Prefetch is the BCP hierarchy: Standard plus prefetch-on-miss next-line
@@ -39,46 +39,22 @@ func PrefetchConfigDefault() PrefetchConfig {
 // data item from prefetch buffer").
 type Prefetch struct {
 	Standard
-	pcfg PrefetchConfig
-	pf1  *cache.Cache // holds L1-sized lines
-	pf2  *cache.Cache // holds L2-sized lines
-
-	// scr2 is a line-sized scratch buffer that stages one L2 line read
-	// from memory for the L2 prefetch buffer; pf2.Fill copies it, so one
-	// buffer serves every prefetch.
-	scr2 []mach.Word
+	pf1 *cache.Cache // holds L1-sized lines
+	pf2 *cache.Cache // holds L2-sized lines
 }
 
 var _ memsys.System = (*Prefetch)(nil)
 
 // NewPrefetch builds the BCP hierarchy over main memory m.
-func NewPrefetch(cfg PrefetchConfig, m *mem.Memory) (*Prefetch, error) {
-	std, err := NewStandard(cfg.Config, m)
+func NewPrefetch(cfg Config, m *mem.Memory) (*Prefetch, error) {
+	std, err := NewStandard(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.L1BufEntries < 1 || cfg.L2BufEntries < 1 {
-		return nil, fmt.Errorf("hier: prefetch buffers need at least one entry")
-	}
-	pf1, err := cache.New(cache.Params{
-		SizeBytes: cfg.L1BufEntries * cfg.L1.LineBytes,
-		Assoc:     cfg.L1BufEntries,
-		LineBytes: cfg.L1.LineBytes,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hier: L1 prefetch buffer: %w", err)
-	}
-	pf2, err := cache.New(cache.Params{
-		SizeBytes: cfg.L2BufEntries * cfg.L2.LineBytes,
-		Assoc:     cfg.L2BufEntries,
-		LineBytes: cfg.L2.LineBytes,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hier: L2 prefetch buffer: %w", err)
-	}
 	return &Prefetch{
-		Standard: *std, pcfg: cfg, pf1: pf1, pf2: pf2,
-		scr2: make([]mach.Word, std.g2.Words()),
+		Standard: *std,
+		pf1:      fullyAssoc(l1BufEntries, cfg.L1.LineBytes),
+		pf2:      fullyAssoc(l2BufEntries, cfg.L2.LineBytes),
 	}, nil
 }
 
@@ -97,23 +73,16 @@ func (h *Prefetch) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int)
 	if buf := h.pf1.Invalidate(a); buf.Valid {
 		h.stats.PfBufHitsL1++
 		h.obs.Event(obs.EvPfBufHit, h.g1.LineAddr(a), 1)
-		l, ev := h.l1.Fill(a, buf.Data)
-		if ev.Valid && ev.Dirty {
-			h.l2Writeback(ev)
-			h.dropStaleBuffers(h.g1.NumberToAddr(ev.Tag))
-		}
 		// Strict prefetch-on-miss (§2.2): a buffer hit is not a miss, so
 		// it does not trigger another prefetch.
-		return h.use(l, a, write, v), h.cfg.Lat.L1Hit
+		return h.use(h.fillL1(a, buf.Data), a, write, v), h.cfg.Lat.L1Hit
 	}
 
 	// Demand miss.
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
 	l, lat := h.fetchIntoL1WithBuffers(a)
-	for d := 1; d <= h.degree(); d++ {
-		h.prefetchL1(h.g1.LineAddr(a) + mach.Addr(d*h.g1.LineBytes))
-	}
+	h.prefetchL1(h.g1.LineAddr(a) + mach.Addr(h.g1.LineBytes))
 	return h.use(l, a, write, v), lat
 }
 
@@ -124,6 +93,18 @@ func (h *Prefetch) Read(a mach.Addr) (mach.Word, int) { return h.access(a, false
 func (h *Prefetch) Write(a mach.Addr, v mach.Word) int {
 	_, lat := h.access(a, true, v)
 	return lat
+}
+
+// fillL1 is Standard.fillL1 followed by the dirty victim's write-back,
+// after which no prefetch buffer may keep a stale copy of its line. It
+// returns the filled line.
+func (h *Prefetch) fillL1(a mach.Addr, data []mach.Word) *cache.Line {
+	l, ev := h.Standard.fillL1(a, data)
+	if ev.Valid && ev.Dirty {
+		h.l2Writeback(ev.Tag, ev.Data)
+		h.dropStaleBuffers(h.g1.NumberToAddr(ev.Tag))
+	}
+	return l
 }
 
 // fetchIntoL1WithBuffers is fetchIntoL1 with an L2 prefetch-buffer check
@@ -142,17 +123,10 @@ func (h *Prefetch) fetchIntoL1WithBuffers(a mach.Addr) (*cache.Line, int) {
 			h.stats.L2.Misses++
 			l2line = h.fillL2(a, h.memFetchL2(a))
 			lat = h.cfg.Lat.Mem
-			for d := 1; d <= h.degree(); d++ {
-				h.prefetchL2(h.g2.LineAddr(a) + mach.Addr(d*h.g2.LineBytes))
-			}
+			h.prefetchL2(h.g2.LineAddr(a) + mach.Addr(h.g2.LineBytes))
 		}
 	}
-	l, ev := h.l1.Fill(a, h.l2Window(l2line, h.g1.LineAddr(a)))
-	if ev.Valid && ev.Dirty {
-		h.l2Writeback(ev)
-		h.dropStaleBuffers(h.g1.NumberToAddr(ev.Tag))
-	}
-	return l, lat
+	return h.fillL1(a, h.l2Window(l2line, h.g1.LineAddr(a))), lat
 }
 
 // prefetchL1 brings the line at base into the L1 prefetch buffer. Like a
@@ -185,16 +159,17 @@ func (h *Prefetch) prefetchL1(base mach.Addr) {
 }
 
 // prefetchL2 brings the L2 line at base into the L2 prefetch buffer from
-// memory.
+// memory. It stages the line in fetchBuf, which the demand fill before it
+// has already copied into the L2.
 func (h *Prefetch) prefetchL2(base mach.Addr) {
 	if h.l2.Probe(base) != nil || h.pf2.Probe(base) != nil {
 		return
 	}
 	h.stats.PfIssuedL2++
 	h.obs.Event(obs.EvPfIssue, base, 2)
-	words := h.scr2
+	words := h.fetchBuf
 	h.mem.ReadLine(base, words)
-	h.stats.MemReadHalves += int64(2 * len(words))
+	h.stats.MemReadHalves += h.lineHalves(words, base)
 	h.pf2.Fill(base, words)
 }
 
@@ -206,20 +181,9 @@ func (h *Prefetch) Occupancies() []memsys.Occupancy {
 		h.pf2.Occupancy("L2 prefetch buffer", nil))
 }
 
-// degree returns the configured prefetch depth (at least 1).
-func (h *Prefetch) degree() int {
-	if h.pcfg.Degree < 1 {
-		return 1
-	}
-	return h.pcfg.Degree
-}
-
 // dropStaleBuffers invalidates prefetch-buffer copies overlapping a line
 // that was just written back, so the buffers never serve stale data.
 func (h *Prefetch) dropStaleBuffers(base mach.Addr) {
 	h.pf1.Invalidate(base)
 	h.pf2.Invalidate(base)
 }
-
-// Drain flushes dirty lines to memory (diagnostic; see Standard.Drain).
-func (h *Prefetch) Drain() { h.Standard.Drain() }

@@ -10,17 +10,20 @@ import (
 
 // ---- Victim cache ----
 
-func TestVictimConfigDefault(t *testing.T) {
-	c := VictimConfigDefault()
-	if c.Name != "VC" || c.VictimEntries != 8 {
-		t.Errorf("VictimConfigDefault() = %+v", c)
+func TestVictimConfig(t *testing.T) {
+	h, err := NewVictim(VictimConfig(), mem.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Name() != "VC" || h.vc.Params().Assoc != 8 {
+		t.Errorf("VC = %s with a %d-entry victim cache, want VC with 8", h.Name(), h.vc.Params().Assoc)
 	}
 }
 
 func TestVictimRecoversConflictMiss(t *testing.T) {
 	m := mem.New()
 	m.WriteWord(0x1000, 7)
-	h, err := NewVictim(VictimConfigDefault(), m)
+	h, err := NewVictim(VictimConfig(), m)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +45,7 @@ func TestVictimRecoversConflictMiss(t *testing.T) {
 func TestVictimBeatsBCOnPingPong(t *testing.T) {
 	mA, mB := mem.New(), mem.New()
 	bc, _ := NewStandard(BaselineConfig(), mA)
-	vc, _ := NewVictim(VictimConfigDefault(), mB)
+	vc, _ := NewVictim(VictimConfig(), mB)
 	a, b := mach.Addr(0x0000), mach.Addr(0x2000)
 	for i := 0; i < 200; i++ {
 		bc.Read(a)
@@ -57,7 +60,7 @@ func TestVictimBeatsBCOnPingPong(t *testing.T) {
 
 func TestVictimCoherenceRandom(t *testing.T) {
 	m := mem.New()
-	h, _ := NewVictim(VictimConfigDefault(), m)
+	h, _ := NewVictim(VictimConfig(), m)
 	shadow := map[mach.Addr]mach.Word{}
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 120000; i++ {
@@ -184,41 +187,5 @@ func TestLCCCompressedTraffic(t *testing.T) {
 	h.Read(0x8000)
 	if got := h.Stats().MemReadHalves; got != 32 {
 		t.Errorf("compressible line read = %d halves, want 32", got)
-	}
-}
-
-// ---- Prefetch degree ----
-
-func TestPrefetchDegree(t *testing.T) {
-	m := mem.New()
-	cfg := PrefetchConfigDefault()
-	cfg.Degree = 3
-	h, err := NewPrefetch(cfg, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h.Read(0x1000)
-	for d := 1; d <= 3; d++ {
-		a := mach.Addr(0x1000 + d*64)
-		if h.pf1.Probe(a) == nil && h.l1.Probe(a) == nil {
-			t.Errorf("degree-3 prefetch missing line +%d", d)
-		}
-	}
-}
-
-func TestPrefetchDegreeMoreTraffic(t *testing.T) {
-	run := func(degree int) int64 {
-		m := mem.New()
-		cfg := PrefetchConfigDefault()
-		cfg.Degree = degree
-		h, _ := NewPrefetch(cfg, m)
-		rng := rand.New(rand.NewSource(7))
-		for i := 0; i < 5000; i++ {
-			h.Read(mach.Addr(rng.Intn(1<<20)) &^ 3)
-		}
-		return h.Stats().MemReadHalves
-	}
-	if d1, d4 := run(1), run(4); d4 <= d1 {
-		t.Errorf("degree 4 traffic (%d) not above degree 1 (%d)", d4, d1)
 	}
 }

@@ -1,60 +1,43 @@
 package hier
 
 import (
-	"fmt"
-
 	"cppcache/internal/cache"
 	"cppcache/internal/mach"
 	"cppcache/internal/mem"
 	"cppcache/internal/memsys"
 )
 
-// VictimConfig describes the VC hierarchy: the baseline caches plus a
-// small fully associative victim cache between the L1 and the L2
-// (Jouppi, ISCA 1990 — the same paper the prefetch buffers come from,
-// reference [3] of the reproduced paper). It is a related-work
+// victimEntries sizes VC's victim cache, matching the hardware budget of
+// BCP's L1 prefetch buffer.
+const victimEntries = 8
+
+// VictimConfig returns the VC configuration: the baseline caches, to which
+// NewVictim adds a small fully associative victim cache between the L1
+// and the L2 (Jouppi, ISCA 1990 — the same paper the prefetch buffers come
+// from, reference [3] of the reproduced paper). It is a related-work
 // comparison point: like CPP's affiliated placement it recovers conflict
 // victims, but it needs dedicated storage and does not prefetch.
-type VictimConfig struct {
-	Config
-	VictimEntries int
-}
-
-// VictimConfigDefault returns BC plus an 8-entry victim cache, matching
-// the hardware budget of BCP's L1 prefetch buffer.
-func VictimConfigDefault() VictimConfig {
+func VictimConfig() Config {
 	c := BaselineConfig()
 	c.Name = "VC"
-	return VictimConfig{Config: c, VictimEntries: 8}
+	return c
 }
 
 // Victim is the VC hierarchy.
 type Victim struct {
 	Standard
-	vcfg VictimConfig
-	vc   *cache.Cache // fully associative, L1-sized lines
+	vc *cache.Cache // fully associative, L1-sized lines
 }
 
 var _ memsys.System = (*Victim)(nil)
 
 // NewVictim builds the VC hierarchy over main memory m.
-func NewVictim(cfg VictimConfig, m *mem.Memory) (*Victim, error) {
-	std, err := NewStandard(cfg.Config, m)
+func NewVictim(cfg Config, m *mem.Memory) (*Victim, error) {
+	std, err := NewStandard(cfg, m)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.VictimEntries < 1 {
-		return nil, fmt.Errorf("hier: victim cache needs at least one entry")
-	}
-	vc, err := cache.New(cache.Params{
-		SizeBytes: cfg.VictimEntries * cfg.L1.LineBytes,
-		Assoc:     cfg.VictimEntries,
-		LineBytes: cfg.L1.LineBytes,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("hier: victim cache: %w", err)
-	}
-	return &Victim{Standard: *std, vcfg: cfg, vc: vc}, nil
+	return &Victim{Standard: *std, vc: fullyAssoc(victimEntries, cfg.L1.LineBytes)}, nil
 }
 
 // access is the shared read/write path. An L1 hit costs one tag search.
@@ -72,45 +55,32 @@ func (h *Victim) access(a mach.Addr, write bool, v mach.Word) (mach.Word, int) {
 	// copies them straight out of it.
 	if buf := h.vc.Invalidate(a); buf.Valid {
 		h.stats.PfBufHitsL1++ // reuse the buffer-hit counter for VC hits
-		l, ev := h.l1.Fill(a, buf.Data)
+		l := h.fillL1(a, buf.Data)
 		l.Dirty = buf.Dirty
-		h.spill(ev)
 		return h.use(l, a, write, v), h.cfg.Lat.AffHit
 	}
 
 	h.stats.L1.Misses++
 	h.obs.AttrMiss(a)
-	l, lat := h.fetchIntoL1Victim(a)
+	l2line, lat := h.fetchL2(a)
+	l := h.fillL1(a, h.l2Window(l2line, h.g1.LineAddr(a)))
 	return h.use(l, a, write, v), lat
 }
 
-// fetchIntoL1Victim is Standard.fetchIntoL1 with victim-cache spill
-// instead of direct write-back. It returns the filled L1 line.
-func (h *Victim) fetchIntoL1Victim(a mach.Addr) (*cache.Line, int) {
-	h.stats.L2.Accesses++
-	lat := h.cfg.Lat.L2Hit
-	l2line := h.l2.Access(a)
-	if l2line == nil {
-		h.stats.L2.Misses++
-		l2line = h.fillL2(a, h.memFetchL2(a))
-		lat = h.cfg.Lat.Mem
-	}
-	l, ev := h.l1.Fill(a, h.l2Window(l2line, h.g1.LineAddr(a)))
-	h.spill(ev)
-	return l, lat
-}
-
-// spill places an evicted L1 line into the victim cache; whatever the
-// victim cache displaces is written back if dirty.
-func (h *Victim) spill(ev cache.Evicted) {
+// fillL1 is Standard.fillL1 with the displaced line spilled into the
+// victim cache instead of written back; whatever the victim cache
+// displaces is written back if dirty. It returns the filled line.
+func (h *Victim) fillL1(a mach.Addr, data []mach.Word) *cache.Line {
+	l, ev := h.Standard.fillL1(a, data)
 	if !ev.Valid {
-		return
+		return l
 	}
-	l, out := h.vc.Fill(h.g1.NumberToAddr(ev.Tag), ev.Data)
-	l.Dirty = ev.Dirty
+	spilled, out := h.vc.Fill(h.g1.NumberToAddr(ev.Tag), ev.Data)
+	spilled.Dirty = ev.Dirty
 	if out.Valid && out.Dirty {
-		h.l2Writeback(out)
+		h.l2Writeback(out.Tag, out.Data)
 	}
+	return l
 }
 
 // Read implements memsys.System.

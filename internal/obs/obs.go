@@ -55,7 +55,9 @@ type Config struct {
 	// OnSnapshot, when set, is called synchronously with each interval
 	// snapshot as it is taken (including the trailing Finish snapshot).
 	// Long-running consumers (the observatory's streaming registry) use it
-	// to publish deltas while the run is still in flight.
+	// to publish deltas while the run is still in flight. The consumer
+	// then owns the series: the recorder keeps none, so Snapshots,
+	// MetricsCSV and MetricsJSON are empty.
 	OnSnapshot func(Snapshot)
 }
 
@@ -94,7 +96,7 @@ type Recorder struct {
 	attr   *attrProfile
 	attrPC mach.Addr
 
-	// onSnap, when set, receives each snapshot as it is appended.
+	// onSnap, when set, receives each snapshot instead of snaps.
 	onSnap func(Snapshot)
 
 	// LoadToUse is the fetch-to-result-available latency of every load;
@@ -244,7 +246,8 @@ func (r *Recorder) Finish() {
 	}
 }
 
-// snapshot appends the per-interval deltas since the previous boundary.
+// snapshot takes the per-interval deltas since the previous boundary and
+// hands them to onSnap, or appends them to the series without one.
 func (r *Recorder) snapshot() {
 	cur := memsys.Stats{}
 	if r.stats != nil {
@@ -272,9 +275,10 @@ func (r *Recorder) snapshot() {
 	if r.memPages != nil {
 		s.PagesTouched = int64(r.memPages())
 	}
-	r.snaps = append(r.snaps, s)
 	if r.onSnap != nil {
 		r.onSnap(s)
+	} else {
+		r.snaps = append(r.snaps, s)
 	}
 	r.prev = cur
 	r.prevInsts = r.insts
@@ -287,7 +291,8 @@ func (r *Recorder) snapshot() {
 	}
 }
 
-// Snapshots returns the interval series collected so far.
+// Snapshots returns the interval series collected so far; none when an
+// OnSnapshot consumer owns it.
 func (r *Recorder) Snapshots() []Snapshot {
 	if r == nil {
 		return nil

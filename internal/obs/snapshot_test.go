@@ -74,64 +74,85 @@ func TestSnapshotRatiosValues(t *testing.T) {
 	}
 }
 
+// streamingTwin returns a recorder that streams its snapshots into
+// *calls, and a twin that keeps its own series instead.
+func streamingTwin(interval int64, calls *[]Snapshot) (stream, keep *Recorder) {
+	stream = New(Config{Interval: interval, OnSnapshot: func(s Snapshot) { *calls = append(*calls, s) }})
+	return stream, New(Config{Interval: interval})
+}
+
+// checkStreamed checks that a streaming recorder kept no series and that
+// its callback saw exactly the twin's retained series, in order.
+func checkStreamed(t *testing.T, stream *Recorder, calls, snaps []Snapshot) {
+	t.Helper()
+	if kept := stream.Snapshots(); len(kept) != 0 {
+		t.Errorf("streaming recorder kept %d snapshots, want none", len(kept))
+	}
+	if len(calls) != len(snaps) {
+		t.Fatalf("OnSnapshot saw %d snapshots, the retaining twin kept %d", len(calls), len(snaps))
+	}
+	for i := range calls {
+		if calls[i] != snaps[i] {
+			t.Errorf("OnSnapshot[%d] = %+v, the retaining twin kept %+v", i, calls[i], snaps[i])
+		}
+	}
+}
+
 // TestSingleIntervalRun pins the degenerate series: a run shorter than
 // one interval yields exactly one Finish snapshot that carries the whole
 // run, so consumers summing deltas still reproduce the totals.
 func TestSingleIntervalRun(t *testing.T) {
 	var calls []Snapshot
-	r := New(Config{Interval: 1 << 30, OnSnapshot: func(s Snapshot) { calls = append(calls, s) }})
+	stream, keep := streamingTwin(1<<30, &calls)
 	st := &memsys.Stats{}
-	r.AttachStats(st)
+	for _, r := range []*Recorder{stream, keep} {
+		r.AttachStats(st)
+	}
 
 	st.L1.Accesses = 7
 	st.L1.Misses = 3
-	r.Tick(100, 1, 0, 0)
-	r.Finish()
+	for _, r := range []*Recorder{stream, keep} {
+		r.Tick(100, 1, 0, 0)
+		r.Finish()
+	}
 
-	snaps := r.Snapshots()
+	snaps := keep.Snapshots()
 	if len(snaps) != 1 {
 		t.Fatalf("got %d snapshots, want 1", len(snaps))
 	}
 	if snaps[0].L1Accesses != 7 || snaps[0].L1Misses != 3 {
 		t.Errorf("finish snapshot = %+v, want the whole run", snaps[0])
 	}
-	if len(calls) != len(snaps) {
-		t.Fatalf("OnSnapshot saw %d snapshots, recorder kept %d", len(calls), len(snaps))
-	}
-	for i := range calls {
-		if calls[i] != snaps[i] {
-			t.Errorf("OnSnapshot[%d] = %+v, recorder kept %+v", i, calls[i], snaps[i])
-		}
-	}
+	checkStreamed(t, stream, calls, snaps)
 }
 
 // TestOnSnapshotSeriesMatches checks that the streaming callback sees
-// exactly the retained series, in order, across multiple intervals.
+// exactly the series a retaining recorder keeps, in order, across
+// multiple intervals, while the streaming recorder keeps none.
 func TestOnSnapshotSeriesMatches(t *testing.T) {
 	var calls []Snapshot
-	r := New(Config{Interval: 10, OnSnapshot: func(s Snapshot) { calls = append(calls, s) }})
+	stream, keep := streamingTwin(10, &calls)
 	st := &memsys.Stats{}
-	r.AttachStats(st)
+	for _, r := range []*Recorder{stream, keep} {
+		r.AttachStats(st)
+	}
 
 	for cyc := int64(1); cyc <= 35; cyc++ {
 		st.L1.Accesses++
-		r.Tick(cyc, 1, 0, 0)
+		stream.Tick(cyc, 1, 0, 0)
+		keep.Tick(cyc, 1, 0, 0)
 	}
-	r.Finish()
+	stream.Finish()
+	keep.Finish()
 
-	snaps := r.Snapshots()
+	snaps := keep.Snapshots()
 	if len(snaps) < 3 {
 		t.Fatalf("got %d snapshots, want several", len(snaps))
 	}
-	if len(calls) != len(snaps) {
-		t.Fatalf("OnSnapshot saw %d, recorder kept %d", len(calls), len(snaps))
-	}
+	checkStreamed(t, stream, calls, snaps)
 	var sum int64
-	for i := range calls {
-		if calls[i] != snaps[i] {
-			t.Errorf("OnSnapshot[%d] diverges from retained series", i)
-		}
-		sum += calls[i].L1Accesses
+	for _, s := range calls {
+		sum += s.L1Accesses
 	}
 	if sum != st.L1.Accesses {
 		t.Errorf("streamed deltas sum to %d, counter is %d", sum, st.L1.Accesses)

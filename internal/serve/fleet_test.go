@@ -187,7 +187,7 @@ func TestFleetConservation(t *testing.T) {
 func awaitTerminal(run *Run) (RunState, error) {
 	timeout := time.After(30 * time.Second)
 	for {
-		_, _, state, changed := run.SnapsFrom(math.MaxInt)
+		state, changed := run.wait()
 		if state.Terminal() {
 			return state, nil
 		}

@@ -401,7 +401,7 @@ func TestPanickingNeighbourDoesNotPerturbHealthyRun(t *testing.T) {
 		t.Errorf("healthy run result diverged from solo baseline\n  solo: %+v\n  got:  %+v", baseRes, final.Result)
 	}
 	run, _ := reg.Get(good.ID)
-	snaps, from, _, _ := run.SnapsFrom(0)
+	snaps, from := run.SnapsFrom(0)
 	if from != 0 {
 		t.Fatalf("healthy run lost snapshots: base %d", from)
 	}

@@ -93,8 +93,8 @@ func TestMemoHitIsByteIdenticalAndInert(t *testing.T) {
 	// Snapshot series must replay identically, ordinal for ordinal.
 	origRun, _ := reg.Get(first.ID)
 	memoRun, _ := reg.Get(second.ID)
-	s1, f1, _, _ := origRun.SnapsFrom(0)
-	s2, f2, _, _ := memoRun.SnapsFrom(0)
+	s1, f1 := origRun.SnapsFrom(0)
+	s2, f2 := memoRun.SnapsFrom(0)
 	if f1 != f2 || !reflect.DeepEqual(s1, s2) {
 		t.Fatalf("memoized snapshot series differs (from %d vs %d, %d vs %d snaps)",
 			f2, f1, len(s2), len(s1))

@@ -864,10 +864,10 @@ func (g *Registry) Drain(timeout time.Duration) bool {
 }
 
 // appendSnapshot publishes one interval delta into the bounded ring. It
-// runs on the simulation goroutine (via ObserveOptions.OnSnapshot),
-// synchronously with the recorder's own append, so the registry's series
-// is always exactly the recorder's series (modulo ring-dropped prefixes,
-// which are counted).
+// runs on the simulation goroutine (via ObserveOptions.OnSnapshot), which
+// hands the series to the registry and keeps no copy of its own, so the
+// ring bounds a run's snapshot memory (ring-dropped prefixes are
+// counted).
 func (r *Run) appendSnapshot(s obs.Snapshot) {
 	r.mu.Lock()
 	if r.snapCount < snapRing {
@@ -1003,15 +1003,20 @@ func (r *Run) Profile() (text, collapsed string) {
 	return r.attrText, r.attrColl
 }
 
-// SnapsFrom returns a copy of the retained snapshots at ordinal >= i, the
-// ordinal of the first returned snapshot (> i exactly when the ring has
-// dropped the requested prefix), the current state, and a channel that is
-// closed on the next change.
-func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int, state RunState, changed <-chan struct{}) {
+// wait returns the run's state and a channel closed on the next change.
+func (r *Run) wait() (state RunState, changed <-chan struct{}) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	snaps, from = r.snapsFromLocked(i)
-	return snaps, from, r.state, r.changed
+	return r.state, r.changed
+}
+
+// SnapsFrom returns a copy of the retained snapshots at ordinal >= i and
+// the ordinal of the first returned snapshot (> i exactly when the ring
+// has dropped the requested prefix).
+func (r *Run) SnapsFrom(i int) (snaps []obs.Snapshot, from int) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.snapsFromLocked(i)
 }
 
 // snapsFromLocked is SnapsFrom's copy of the retained snapshots. Callers

@@ -391,7 +391,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 
 	next := 0
 	emitFrom := func(next int) (int, bool) {
-		snaps, from, _, _ := run.SnapsFrom(next)
+		snaps, from := run.SnapsFrom(next)
 		if from > next {
 			stream.Event("gap",
 				span.Int("from", int64(next)),
@@ -420,7 +420,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 		if next, live = emitFrom(next); !live {
 			return
 		}
-		_, _, state, changed := run.SnapsFrom(next)
+		state, changed := run.wait()
 		if state.Terminal() {
 			// Drain any snapshots that landed between the emit and the
 			// terminal-state observation before closing.

@@ -512,7 +512,7 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 	})
 
 	for {
-		_, _, state, changed := run.SnapsFrom(0)
+		state, changed := run.wait()
 		if state.Terminal() {
 			break
 		}

@@ -54,11 +54,11 @@ func NewSystem(name string, m *mem.Memory, lat memsys.Latencies) (memsys.System,
 		cfg.Lat = lat
 		return hier.NewStandard(cfg, m)
 	case "BCP":
-		cfg := hier.PrefetchConfigDefault()
+		cfg := hier.PrefetchConfig()
 		cfg.Lat = lat
 		return hier.NewPrefetch(cfg, m)
 	case "VC":
-		cfg := hier.VictimConfigDefault()
+		cfg := hier.VictimConfig()
 		cfg.Lat = lat
 		return hier.NewVictim(cfg, m)
 	case "LCC":

@@ -140,6 +140,44 @@ func TestBCAndBCCSameTiming(t *testing.T) {
 	}
 }
 
+// TestFillEventsMatchStats: every hierarchy traces one fill-l1 event per
+// L1 install (a demand miss, a prefetch- or victim-cache hit, or a CPP
+// promotion), and those whose L2 fills only on a demand miss (all but BCP
+// and CPP) trace one fill-l2 event per L2 miss.
+func TestFillEventsMatchStats(t *testing.T) {
+	bm, err := workload.ByName("olden.treeadd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := bm.Build(1)
+	for _, config := range append(Configs(), ExtraConfigs()...) {
+		rec := obs.New(obs.Config{Trace: true, TraceCap: 1 << 18})
+		res, err := Run(p, config, memsys.DefaultLatencies(), Options{Functional: true, Recorder: rec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d := rec.TraceDropped(); d != 0 {
+			t.Fatalf("%s: the event ring dropped %d events", config, d)
+		}
+		var fillL1, fillL2 int64
+		for _, e := range rec.TraceEvents() {
+			switch e.Kind {
+			case obs.EvFillL1:
+				fillL1++
+			case obs.EvFillL2:
+				fillL2++
+			}
+		}
+		s := res.Mem
+		if want := s.L1.Misses + s.PfBufHitsL1 + s.Promotions; fillL1 != want {
+			t.Errorf("%s: %d fill-l1 events, want %d (L1 misses + L1 buffer hits + promotions)", config, fillL1, want)
+		}
+		if config != "BCP" && config != "CPP" && fillL2 != s.L2.Misses {
+			t.Errorf("%s: %d fill-l2 events, want %d (L2 misses)", config, fillL2, s.L2.Misses)
+		}
+	}
+}
+
 // TestCancelMidRun: a run whose context is canceled from inside the
 // simulation, at the recorder's first interval snapshot, ends with
 // context.Canceled at the next cooperative poll, long before the program
@@ -156,14 +194,15 @@ func TestCancelMidRun(t *testing.T) {
 	stopAt := func(config string, functional, cancelAtSnapshot bool) (int64, error) {
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		rec := obs.New(obs.Config{Interval: interval, OnSnapshot: func(obs.Snapshot) {
+		var last int64
+		rec := obs.New(obs.Config{Interval: interval, OnSnapshot: func(s obs.Snapshot) {
+			last = s.Cycle
 			if cancelAtSnapshot {
 				cancel()
 			}
 		}})
 		_, err := Run(p, config, memsys.DefaultLatencies(), Options{Functional: functional, Recorder: rec, Ctx: ctx})
-		snaps := rec.Snapshots()
-		return snaps[len(snaps)-1].Cycle, err
+		return last, err
 	}
 	for _, config := range []string{"BC", "CPP"} {
 		for _, functional := range []bool{true, false} {

@@ -201,14 +201,13 @@ func (b *B) Len() int { return len(b.insts) }
 
 // Program finalises the builder.
 func (b *B) Program(name string) *Program {
-	return &Program{Name: name, insts: b.insts, image: b.image}
+	return &Program{Name: name, insts: b.insts}
 }
 
-// Program is a finished trace plus its functional memory image.
+// Program is a finished trace.
 type Program struct {
 	Name  string
 	insts []isa.Inst
-	image *mem.Memory
 }
 
 // Len returns the trace length in instructions.
