@@ -1,10 +1,9 @@
 package cppcache
 
-// Benchmarks for the simulator-throughput work: the shared trace
-// pre-decode (building it and scanning its struct-of-arrays columns) and
-// the run scheduler's scaling. cmd/cppbench -benchjson
-// emits the same measurements machine-readably (predecode and parallel
-// sections of BENCH_simperf.json).
+// Benchmarks of the shared trace pre-decode's column scan and of the run
+// scheduler's scaling. perfbench times the decode itself (trace.decode_s)
+// and the suite's wall time at 1 and 2 workers is pinned in
+// BENCH_perfbench.json; these isolate the two mechanisms.
 
 import (
 	"context"
@@ -13,29 +12,8 @@ import (
 	"testing"
 
 	"cppcache/internal/sched"
-	"cppcache/internal/trace"
 	"cppcache/internal/workload"
 )
-
-// BenchmarkTraceDecode measures building the pre-decoded representation
-// itself — paid once per workload x scale and amortised across every run
-// that replays it.
-func BenchmarkTraceDecode(b *testing.B) {
-	b.ReportAllocs()
-	p, err := workload.BuildShared("olden.health", 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	insts := p.Insts()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d := trace.NewDecoded(insts)
-		if d.Len() != len(insts) {
-			b.Fatal("decode length mismatch")
-		}
-	}
-	b.ReportMetric(float64(len(insts)), "insts")
-}
 
 // BenchmarkReplayPredecoded scans the shared struct-of-arrays columns the
 // core fetches from.

@@ -1,14 +1,9 @@
 package cppcache
 
-// The benchmark harness: one testing.B benchmark per table/figure in the
-// paper's evaluation (§4), plus the ablations DESIGN.md calls out. Each
-// benchmark regenerates its figure at a reduced scale and reports the
-// headline numbers as custom metrics, so
-//
-//	go test -bench=Fig -benchmem
-//
-// reproduces the whole evaluation. cmd/cppbench runs the same experiments
-// at full scale with complete per-benchmark tables.
+// Go benchmarks for what perfbench (the repository benchmark, run with
+// python3 perfbench/run.py) does not measure: the ablations DESIGN.md
+// calls out, the word codec, and one CPP run with and without an
+// observability recorder attached.
 
 import (
 	"context"
@@ -17,171 +12,20 @@ import (
 	"testing"
 )
 
-// benchScale keeps the per-figure benchmarks fast; cmd/cppbench uses the
-// full default scale.
+// benchScale keeps the ablation runs fast; cmd/cppbench uses the full
+// default scale.
 const benchScale = 1
 
-func reportGeomeans(b *testing.B, t *Table, metric string) {
-	b.Helper()
-	row := "geomean"
-	found := false
-	for _, r := range t.Rows {
-		if r == row {
-			found = true
-			break
-		}
-	}
-	if !found {
-		return
-	}
-	for _, col := range t.Cols {
-		b.ReportMetric(t.Get(row, col), col+"_"+metric)
-	}
-}
-
-// warmPrograms builds the benchmark traces once, outside the timed region,
-// so the Figure benchmarks measure simulation rather than workload
+// warmProgram builds the benchmark's trace once, outside the timed
+// region, so the ablations measure simulation rather than workload
 // construction. Programs are shared via the workload build cache, so the
-// NewSuite calls inside the timed loops reuse these instances.
-func warmPrograms(b *testing.B, names []string) {
+// runs inside the timed loops reuse this instance.
+func warmProgram(b *testing.B, name string) {
 	b.Helper()
-	if names == nil {
-		names = Benchmarks()
-	}
-	for _, n := range names {
-		if _, err := BuildBenchmark(n, benchScale); err != nil {
-			b.Fatal(err)
-		}
+	if _, err := BuildBenchmark(name, benchScale); err != nil {
+		b.Fatal(err)
 	}
 	b.ResetTimer()
-}
-
-func BenchmarkFig03Compressibility(b *testing.B) {
-	b.ReportAllocs()
-	warmPrograms(b, nil)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale})
-		t, err := s.Figure3()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			var small, ptr float64
-			for _, r := range t.Rows {
-				small += t.Get(r, "small")
-				ptr += t.Get(r, "pointer")
-			}
-			n := float64(len(t.Rows))
-			b.ReportMetric((small+ptr)/n, "avg_compressible")
-		}
-	}
-}
-
-func BenchmarkFig09BaselineSetup(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if BaselineDescription() == "" {
-			b.Fatal("empty baseline description")
-		}
-	}
-}
-
-func BenchmarkFig10MemoryTraffic(b *testing.B) {
-	b.ReportAllocs()
-	warmPrograms(b, nil)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale})
-		t, err := s.Figure10()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportGeomeans(b, t, "traffic")
-		}
-	}
-}
-
-func BenchmarkFig11ExecutionTime(b *testing.B) {
-	b.ReportAllocs()
-	warmPrograms(b, nil)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale})
-		t, err := s.Figure11()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportGeomeans(b, t, "exectime")
-		}
-	}
-}
-
-func BenchmarkFig12L1Misses(b *testing.B) {
-	b.ReportAllocs()
-	warmPrograms(b, nil)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale})
-		t, err := s.Figure12()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportGeomeans(b, t, "l1miss")
-		}
-	}
-}
-
-func BenchmarkFig13L2Misses(b *testing.B) {
-	b.ReportAllocs()
-	warmPrograms(b, nil)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale})
-		t, err := s.Figure13()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportGeomeans(b, t, "l2miss")
-		}
-	}
-}
-
-func BenchmarkFig14MissImportance(b *testing.B) {
-	b.ReportAllocs()
-	// Restrict to a representative subset: Figure 14 needs two full runs
-	// per benchmark x configuration.
-	benches := []string{"olden.health", "olden.treeadd", "spec2000.300.twolf"}
-	warmPrograms(b, benches)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale, Benchmarks: benches})
-		t, err := s.Figure14()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			reportGeomeans(b, t, "importance")
-		}
-	}
-}
-
-func BenchmarkFig15ReadyQueue(b *testing.B) {
-	benches := []string{"olden.health", "olden.treeadd", "spec95.130.li"}
-	b.ReportAllocs()
-	warmPrograms(b, benches)
-	for i := 0; i < b.N; i++ {
-		s := NewSuite(SuiteOptions{Scale: benchScale, Benchmarks: benches})
-		t, err := s.Figure15()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == b.N-1 {
-			var inc float64
-			for _, r := range t.Rows {
-				inc += t.Get(r, "increase")
-			}
-			b.ReportMetric(inc/float64(len(t.Rows)), "avg_queue_increase")
-		}
-	}
 }
 
 // BenchmarkAblationMask sweeps the affiliated-line mask: 0x1 is the
@@ -190,7 +34,7 @@ func BenchmarkFig15ReadyQueue(b *testing.B) {
 func BenchmarkAblationMask(b *testing.B) {
 	for _, mask := range []uint32{0x1, 0x2, 0x4} {
 		b.Run(fmt.Sprintf("mask_%#x", mask), func(b *testing.B) {
-			warmPrograms(b, []string{"olden.treeadd"})
+			warmProgram(b, "olden.treeadd")
 			for i := 0; i < b.N; i++ {
 				res, _, err := Run(context.Background(), "olden.treeadd", CPPVariant(mask, true), Options{Scale: benchScale})
 				if err != nil {
@@ -210,7 +54,7 @@ func BenchmarkAblationMask(b *testing.B) {
 func BenchmarkAblationVictim(b *testing.B) {
 	for _, vp := range []bool{true, false} {
 		b.Run(fmt.Sprintf("victimPlacement_%v", vp), func(b *testing.B) {
-			warmPrograms(b, []string{"spec2000.300.twolf"})
+			warmProgram(b, "spec2000.300.twolf")
 			for i := 0; i < b.N; i++ {
 				res, _, err := Run(context.Background(), "spec2000.300.twolf", CPPVariant(0x1, vp), Options{Scale: benchScale})
 				if err != nil {
@@ -278,11 +122,10 @@ func BenchmarkCompressionKernel(b *testing.B) {
 	}
 }
 
-// BenchmarkSimulatorThroughput measures end-to-end simulation speed
-// (instructions per wall-clock second) on the CPP configuration. With no
-// recorder attached this is also the observability-off guard: the obs
-// hooks must stay within noise of the pre-observability baseline
-// (BENCH_simperf.json; cmd/cppbench -against compares runs).
+// BenchmarkSimulatorThroughput measures one CPP run of olden.health at
+// scale 1 with no recorder attached, allocations included;
+// BenchmarkSimulatorThroughputObserved is its twin with a recorder, so the
+// pair puts a number on what observability costs.
 func BenchmarkSimulatorThroughput(b *testing.B) {
 	b.ReportAllocs()
 	p, err := BuildBenchmark("olden.health", 1)

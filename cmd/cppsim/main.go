@@ -35,8 +35,7 @@ func usageError(format string, args ...any) {
 
 func main() {
 	var (
-		workloadFlag = flag.String("workload", "", "workload name or unambiguous suffix (see -list)")
-		bench        = flag.String("bench", "", "alias for -workload (kept for compatibility)")
+		workloadFlag = flag.String("workload", "olden.health", "workload name or unambiguous suffix (see -list)")
 		config       = flag.String("config", "CPP", "cache configuration: BC, BCC, HAC, BCP, CPP, VC or LCC")
 		compressor   = flag.String("compressor", "", "line-compression scheme for BCC/LCC: paper (default), cpack, fpc or bdi")
 		scale        = flag.Int("scale", 0, "workload scale (0 = default)")
@@ -64,17 +63,7 @@ func main() {
 	if flag.NArg() > 0 {
 		usageError("unexpected arguments: %s", strings.Join(flag.Args(), " "))
 	}
-	if *workloadFlag != "" && *bench != "" && *workloadFlag != *bench {
-		usageError("-workload %q and -bench %q disagree; use one", *workloadFlag, *bench)
-	}
-	name := *workloadFlag
-	if name == "" {
-		name = *bench
-	}
-	if name == "" {
-		name = "olden.health"
-	}
-	resolved, err := cppcache.ResolveBenchmark(name)
+	resolved, err := cppcache.ResolveBenchmark(*workloadFlag)
 	if err != nil {
 		usageError("%v (run -list for the full set)", err)
 	}

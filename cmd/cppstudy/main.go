@@ -152,6 +152,11 @@ func main() {
 		parallel = flag.Int("parallel", 0, "simulation workers for sweeps (0 = one per CPU)")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "cppstudy: unexpected arguments:", strings.Join(flag.Args(), " "))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	if *phase != "" {
 		os.Exit(runPhase(*phase, strings.Split(*configs, ","), *interval, *scale, *out))

@@ -52,6 +52,11 @@ func main() {
 		traceOut  = flag.String("trace-out", "", "write a Chrome trace_event dump of the verification battery's spans to this file")
 	)
 	flag.Parse()
+	if flag.NArg() > 0 {
+		fmt.Fprintln(os.Stderr, "cppverify: unexpected arguments:", strings.Join(flag.Args(), " "))
+		flag.Usage()
+		os.Exit(2)
+	}
 
 	var tracer *span.Tracer
 	var root *span.Span

@@ -4,6 +4,7 @@
 package cmd
 
 import (
+	"os"
 	"os/exec"
 	"strings"
 	"testing"
@@ -40,9 +41,6 @@ func TestCppsimFlagValidation(t *testing.T) {
 		{"interval without metrics-out",
 			[]string{"-workload", "treeadd", "-interval", "1000"},
 			[]string{"-interval", "-metrics-out"}},
-		{"conflicting workload and bench",
-			[]string{"-workload", "treeadd", "-bench", "mst"},
-			[]string{"-workload", "-bench", "disagree"}},
 		{"attr-top without attr-out",
 			[]string{"-workload", "treeadd", "-attr-top", "5"},
 			[]string{"-attr-top", "-attr-out"}},
@@ -70,6 +68,10 @@ func TestCppsimFlagValidation(t *testing.T) {
 		{"stray positional args",
 			[]string{"-workload", "treeadd", "stray"},
 			[]string{"unexpected arguments"}},
+		// The -workload alias is deleted: an unknown flag.
+		{"bench alias",
+			[]string{"-bench", "treeadd"},
+			[]string{"flag provided but not defined: -bench"}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -88,20 +90,53 @@ func TestCppsimFlagValidation(t *testing.T) {
 		})
 	}
 
-	// -workload and -bench agreeing is NOT an error.
-	out := run(t, bin, "-workload", "olden.treeadd", "-bench", "olden.treeadd",
-		"-config", "CPP", "-scale", "1", "-functional")
-	expect(t, out, "olden.treeadd")
-
 	// A valid zoo scheme on a compressing config runs and self-labels;
 	// the explicit default stays silent (byte-identical default output).
-	out = run(t, bin, "-workload", "olden.treeadd", "-config", "BCC",
+	out := run(t, bin, "-workload", "olden.treeadd", "-config", "BCC",
 		"-compressor", "fpc", "-scale", "1", "-functional")
 	expect(t, out, "compressor       fpc")
 	out = run(t, bin, "-workload", "olden.treeadd", "-config", "BCC",
 		"-compressor", "paper", "-scale", "1", "-functional")
 	if strings.Contains(out, "compressor ") {
 		t.Errorf("default scheme printed a compressor line:\n%s", out)
+	}
+}
+
+func TestCppbenchFlagValidation(t *testing.T) {
+	bin := build(t, "cppbench")
+	t.Run("unknown figure", func(t *testing.T) {
+		expect(t, runExpectUsage(t, bin, "-fig", "7"), "no figure 7", "Usage")
+	})
+	// The throughput harness's flags are deleted: -against, -regress and
+	// the -bench{json,name,reps} trio are unknown flags. Each case also
+	// asks for a cheap figure, so no case can start a full-scale run.
+	retired := []string{"-against", "-regress"}
+	for _, suffix := range []string{"json", "name", "reps"} {
+		retired = append(retired, "-bench"+suffix)
+	}
+	for _, name := range retired {
+		t.Run(name, func(t *testing.T) {
+			out := runExpectUsage(t, bin, name, os.DevNull, "-fig", "3", "-scale", "1")
+			expect(t, out, "flag provided but not defined: "+name)
+		})
+	}
+}
+
+// TestStrayArgumentsRejected: flag parsing stops at the first non-flag
+// argument, so a stray word would silently drop every flag after it.
+func TestStrayArgumentsRejected(t *testing.T) {
+	for _, c := range []struct {
+		bin  string
+		args []string
+	}{
+		{"cppbench", []string{"-fig", "3", "-scale", "1", "x", "-csv"}},
+		{"cppstudy", []string{"-scale", "1", "x", "-widths"}},
+		{"cppverify", []string{"-seeds", "1", "x", "-ops", "5"}},
+	} {
+		t.Run(c.bin, func(t *testing.T) {
+			out := runExpectUsage(t, build(t, c.bin), c.args...)
+			expect(t, out, "unexpected arguments: x -", "Usage")
+		})
 	}
 }
 

@@ -54,12 +54,12 @@ func expect(t *testing.T, out string, needles ...string) {
 
 func TestSmokeCppsim(t *testing.T) {
 	bin := build(t, "cppsim")
-	out := run(t, bin, "-bench", "olden.treeadd", "-config", "CPP", "-scale", "1")
+	out := run(t, bin, "-workload", "olden.treeadd", "-config", "CPP", "-scale", "1")
 	expect(t, out, "benchmark", "olden.treeadd", "configuration", "CPP",
 		"L1 accesses", "memory traffic", "affiliated hits")
 	out = run(t, bin, "-list")
 	expect(t, out, "olden.treeadd", "olden.health")
-	out = run(t, bin, "-bench", "olden.mst", "-config", "BC", "-scale", "1", "-functional")
+	out = run(t, bin, "-workload", "olden.mst", "-config", "BC", "-scale", "1", "-functional")
 	expect(t, out, "configuration    BC")
 	if strings.Contains(out, "cycles") {
 		t.Errorf("-functional run printed cycle counts:\n%s", out)

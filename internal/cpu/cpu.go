@@ -335,8 +335,8 @@ func (c *Core) SetRecorder(r *obs.Recorder) { c.obs = r }
 // cooperative cancellation poll in RunContext. Each iteration advances
 // simulated time by at least one cycle, so a canceled context is observed
 // within this many cycles of work; the poll itself is a single non-blocking
-// channel receive, cheap enough to sit inside the pinned throughput
-// baseline's noise band (see BENCH_simperf.json and EXPERIMENTS.md).
+// channel receive, and an A/B run measured it inside the machine's
+// run-to-run noise (EXPERIMENTS.md, "Resilience & operations").
 const cancelCheckEvery = 4096
 
 // stallSentinel marks the front end as blocked until an unresolved

@@ -141,4 +141,7 @@ func TestRetryHintsOnTheWire(t *testing.T) {
 				resp.Request.URL.Path, resp.StatusCode, resp.Header.Get("Retry-After"))
 		}
 	}
+	if n := reg.Counters().RejectedDraining; n != 1 {
+		t.Errorf("draining rejections %d, want 1 (the sweep)", n)
+	}
 }

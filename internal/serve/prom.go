@@ -11,7 +11,7 @@ import (
 // writeBuildInfo renders the cppserved_build_info gauge: a constant-1
 // series whose labels make every scrape self-describing (which Go
 // toolchain, how many workers the box offers, where the ledger lives),
-// mirroring the machine fields BENCH_simperf.json records.
+// mirroring the provenance block BENCH_perfbench.json records.
 func writeBuildInfo(w *strings.Builder, ledgerPath string) {
 	fmt.Fprintf(w, "# HELP cppserved_build_info Build and host facts as labels; value is always 1.\n# TYPE cppserved_build_info gauge\n")
 	fmt.Fprintf(w, "cppserved_build_info{go_version=\"%s\",gomaxprocs=\"%d\",num_cpu=\"%d\",ledger=\"%s\"} 1\n",

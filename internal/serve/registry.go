@@ -811,15 +811,16 @@ func (g *Registry) CountSlowStream() {
 // cooperative checks make that prompt) and granted the remaining 20%. It
 // reports whether everything drained in time.
 func (g *Registry) Drain(timeout time.Duration) bool {
+	// Cancel sweeps before admission closes, so a sweep child never meets
+	// a closed registry while its sweep still runs: the engines stop
+	// feeding new children and fan cancellation out to in-flight child
+	// runs.
+	g.sweeps.drain()
 	g.mu.Lock()
 	g.closed = true
 	queued := g.queue
 	g.queue = nil
 	g.mu.Unlock()
-	// Cancel sweeps first: their engines stop feeding new children into
-	// the (now closed) admission path and fan cancellation out to in-flight
-	// child runs.
-	g.sweeps.drain()
 	for _, id := range queued {
 		if run, ok := g.Get(id); ok && g.cancelQueued(run, "server draining") {
 			g.log.Info("queued run canceled", "run_id", id, "trace_id", run.TraceID(),

@@ -378,14 +378,6 @@ func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	g.mu.Lock()
-	if g.closed {
-		g.rejectedDrain++
-		g.mu.Unlock()
-		return nil, ErrDraining
-	}
-	g.mu.Unlock()
-
 	ctx, cancel := context.WithCancel(context.Background())
 	sw := &Sweep{
 		Spec:     spec,
@@ -397,8 +389,13 @@ func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 		cancel:   cancel,
 		changed:  make(chan struct{}),
 	}
+	// The sweep set closes before the registry does (Drain), so it
+	// refuses every sweep a draining registry would.
 	if err := g.sweeps.register(sw); err != nil {
 		cancel()
+		g.mu.Lock()
+		g.rejectedDrain++
+		g.mu.Unlock()
 		return nil, err
 	}
 	g.log.Info("sweep launched", "sweep_id", sw.ID, "children", len(children),
@@ -496,11 +493,15 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 				continue // loop observes ctx.Err and finishes as canceled
 			}
 		}
-		// Draining or an internal error: the child fails, the sweep
-		// degrades, the rest of the batch continues.
+		// A draining registry cancels the child, as Drain cancels the
+		// queued runs. An internal error fails it: the sweep degrades and
+		// the rest of the batch continues.
 		sw.updateChild(ch, func(c *sweepChild) {
-			c.State = StateFailed
-			c.Error = err.Error()
+			if errors.Is(err, ErrDraining) {
+				c.State, c.Error = StateCanceled, "server draining"
+			} else {
+				c.State, c.Error = StateFailed, err.Error()
+			}
 		})
 		return
 	}

@@ -3,6 +3,7 @@ package serve
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math"
@@ -259,6 +260,47 @@ func TestSweepCancelFansOut(t *testing.T) {
 	}
 	if !<-drained {
 		t.Error("drain timed out")
+	}
+}
+
+// TestSweepChildRefusedByDrainIsCanceled: a child that meets a closed
+// registry ends canceled with Drain's cause, not failed, so it cannot
+// leave a drained sweep done and degraded.
+func TestSweepChildRefusedByDrainIsCanceled(t *testing.T) {
+	reg := NewRegistry(nil)
+	if !reg.Drain(time.Second) {
+		t.Fatal("empty registry did not drain")
+	}
+	spec, err := normalize(RunSpec{Workload: "mst", Config: "CPP", Functional: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := &sweepChild{Spec: spec, State: StateQueued}
+	sw := &Sweep{state: SweepRunning, children: []*sweepChild{ch}, changed: make(chan struct{})}
+	reg.runSweepChild(context.Background(), sw, ch, 0)
+	if ch.State != StateCanceled || ch.Error != "server draining" {
+		t.Fatalf("child %s (%q), want canceled (server draining)", ch.State, ch.Error)
+	}
+}
+
+// TestDrainCancelsSweepsBeforeClosing: Drain cancels a running sweep while
+// admission is still open, so none of its children is refused.
+func TestDrainCancelsSweepsBeforeClosing(t *testing.T) {
+	reg := NewRegistry(nil)
+	var readiness []bool
+	sw := &Sweep{state: SweepRunning, changed: make(chan struct{})}
+	sw.cancel = func() {
+		ready, _ := reg.Readiness()
+		readiness = append(readiness, ready)
+	}
+	if err := reg.sweeps.register(sw); err != nil {
+		t.Fatal(err)
+	}
+	if !reg.Drain(time.Second) {
+		t.Fatal("registry did not drain")
+	}
+	if len(readiness) != 1 || !readiness[0] {
+		t.Fatalf("readiness seen by the sweep's cancel: %v, want [true]", readiness)
 	}
 }
 
