@@ -16,6 +16,7 @@
 package main
 
 import (
+	"encoding/csv"
 	"flag"
 	"fmt"
 	"os"
@@ -40,7 +41,7 @@ func main() {
 	var (
 		scale      = flag.Int("scale", 0, "workload scale (0 = default)")
 		fig        = flag.Int("fig", 0, "only this figure (3, 9, 10, 11, 12, 13, 14, 15); 0 = all")
-		csv        = flag.Bool("csv", false, "emit CSV instead of aligned tables")
+		csvOut     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		related    = flag.Bool("related", false, "also run the related-work comparison (VC, LCC) and the energy estimate")
 		cpuprofile = flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 		memprofile = flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
@@ -110,7 +111,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "cppbench:", err)
 			os.Exit(1)
 		}
-		if *csv {
+		if *csvOut {
 			fmt.Println("#", t.Title)
 			fmt.Print(t.CSV())
 		} else {
@@ -125,7 +126,11 @@ func main() {
 		show(s.Figure3())
 	}
 	if want(9) {
-		fmt.Println(cppcache.BaselineDescription())
+		if *csvOut {
+			baselineCSV(cppcache.BaselineDescription())
+		} else {
+			fmt.Println(cppcache.BaselineDescription())
+		}
 	}
 	if want(10) {
 		show(s.Figure10())
@@ -155,4 +160,24 @@ func main() {
 	}
 	fmt.Fprintf(os.Stderr, "total time: %s\n", time.Since(start).Round(time.Millisecond))
 	dumpTrace()
+}
+
+// baselineCSV prints Figure 9's setup table as a "# title" line and a
+// parameter,value CSV, like the other figures under -csv. Each row of the
+// text table is a parameter name and its value, separated by a run of at
+// least two spaces; values may hold commas, which the CSV writer quotes.
+func baselineCSV(desc string) {
+	title, body, _ := strings.Cut(desc, "\n")
+	fmt.Println("#", title)
+	w := csv.NewWriter(os.Stdout)
+	w.Write([]string{"parameter", "value"})
+	for _, line := range strings.Split(strings.TrimRight(body, "\n"), "\n") {
+		name, value, _ := strings.Cut(strings.TrimSpace(line), "  ")
+		w.Write([]string{name, strings.TrimSpace(value)})
+	}
+	w.Flush()
+	if err := w.Error(); err != nil {
+		fmt.Fprintln(os.Stderr, "cppbench:", err)
+		os.Exit(1)
+	}
 }

@@ -6,6 +6,7 @@ package cmd
 
 import (
 	"bytes"
+	"encoding/csv"
 	"fmt"
 	"io"
 	"net/http"
@@ -75,6 +76,35 @@ func TestSmokeCppbench(t *testing.T) {
 	out = run(t, bin, "-fig", "3", "-scale", "1", "-csv")
 	if !strings.Contains(out, ",") {
 		t.Errorf("-csv output has no commas:\n%s", out)
+	}
+}
+
+// TestSmokeCppbenchBaselineCSV: under -csv, Figure 9 is a "# title" line
+// and a parameter,value CSV like every other figure, so a CSV reader
+// takes the whole output.
+func TestSmokeCppbenchBaselineCSV(t *testing.T) {
+	bin := build(t, "cppbench")
+	out, err := exec.Command(bin, "-fig", "9", "-csv").Output()
+	if err != nil {
+		t.Fatalf("cppbench -fig 9 -csv: %v", err)
+	}
+	if !bytes.HasPrefix(out, []byte("# Figure 9: baseline experimental setup\n")) {
+		t.Errorf("output does not open with the figure's title line:\n%s", out)
+	}
+	r := csv.NewReader(bytes.NewReader(out))
+	r.Comment = '#'
+	r.FieldsPerRecord = 2
+	recs, err := r.ReadAll()
+	if err != nil {
+		t.Fatalf("-fig 9 -csv is not a two-column CSV: %v\n%s", err, out)
+	}
+	if len(recs) != 13 || recs[0][0] != "parameter" || recs[0][1] != "value" {
+		t.Fatalf("want a parameter,value header and 12 records, got %d records: %q", len(recs), recs)
+	}
+	for _, rec := range recs[1:] {
+		if rec[0] == "" || rec[1] == "" {
+			t.Errorf("record %q has an empty field", rec)
+		}
 	}
 }
 

@@ -118,6 +118,14 @@ func (m *memoStore) store(e *memoEntry) (drift bool) {
 		m.lru.MoveToFront(el)
 		return drift
 	}
+	m.pushLocked(e)
+	return false
+}
+
+// pushLocked inserts e, whose hash the store lacks, as the most recently
+// used entry and evicts the least recently used beyond the bound. Callers
+// hold m.mu.
+func (m *memoStore) pushLocked(e *memoEntry) {
 	m.byHash[e.specHash] = m.lru.PushFront(e)
 	for m.max > 0 && m.lru.Len() > m.max {
 		oldest := m.lru.Back()
@@ -125,42 +133,28 @@ func (m *memoStore) store(e *memoEntry) (drift bool) {
 		delete(m.byHash, oldest.Value.(*memoEntry).specHash)
 		m.evictions++
 	}
-	return false
 }
 
 // seed warm-starts the index from replayed ledger records: each done,
 // non-memoized record with a result digest becomes an index-only entry
 // (newer records win). It returns how many entries were seeded.
 func (m *memoStore) seed(recs []ledger.Record) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	n := 0
 	for _, rec := range recs {
 		if rec.State != string(StateDone) || rec.Memoized || rec.ResultDigest == "" || rec.SpecHash == "" {
 			continue
 		}
-		m.mu.Lock()
-		if el, ok := m.byHash[rec.SpecHash]; ok {
-			// Never demote a live full entry to index-only.
-			if e := el.Value.(*memoEntry); e.full {
-				m.mu.Unlock()
-				continue
-			}
-			el.Value = &memoEntry{specHash: rec.SpecHash, runID: rec.RunID,
-				traceID: rec.TraceID, digest: rec.ResultDigest}
-			m.mu.Unlock()
-			n++
-			continue
+		e := &memoEntry{specHash: rec.SpecHash, runID: rec.RunID,
+			traceID: rec.TraceID, digest: rec.ResultDigest}
+		if el, ok := m.byHash[rec.SpecHash]; !ok {
+			m.pushLocked(e)
+		} else if !el.Value.(*memoEntry).full {
+			el.Value = e
+		} else {
+			continue // never demote a live full entry to index-only
 		}
-		m.byHash[rec.SpecHash] = m.lru.PushFront(&memoEntry{
-			specHash: rec.SpecHash, runID: rec.RunID,
-			traceID: rec.TraceID, digest: rec.ResultDigest,
-		})
-		for m.max > 0 && m.lru.Len() > m.max {
-			oldest := m.lru.Back()
-			m.lru.Remove(oldest)
-			delete(m.byHash, oldest.Value.(*memoEntry).specHash)
-			m.evictions++
-		}
-		m.mu.Unlock()
 		n++
 	}
 	return n

@@ -105,25 +105,21 @@ var (
 )
 
 // Run is one simulation job managed by the registry. All mutable fields
-// are guarded by mu. Snapshots live in a bounded ring: consumers address
-// them by ordinal (the index in the full published series) and may observe
-// a gap if the ring has dropped old entries.
+// are guarded by the lifecycle's mu. Snapshots live in a bounded ring:
+// consumers address them by ordinal (the index in the full published
+// series) and may observe a gap if the ring has dropped old entries.
 type Run struct {
 	ID   int     `json:"id"`
 	Spec RunSpec `json:"spec"`
 
 	specHash string // ledger.SpecHash of Spec, "" if it cannot be hashed
 
-	mu          sync.Mutex
-	state       RunState
-	created     time.Time
+	lifecycle
 	started     time.Time
-	finished    time.Time
 	errMsg      string
 	cancelCause string
 	cancel      context.CancelFunc // non-nil while running
 	result      *cppcache.Result
-	dropped     int64 // trace-ring drops reported by the recorder
 	attrText    string
 	attrColl    string
 
@@ -152,10 +148,6 @@ type Run struct {
 	snapBase    int
 	snapDropped int64
 	totals      obs.Snapshot // running column sums of ALL published snaps
-
-	// changed is closed and replaced whenever snaps or state change;
-	// stream consumers wait on it.
-	changed chan struct{}
 }
 
 // RunStatus is the JSON shape served for one run.
@@ -204,10 +196,12 @@ const (
 
 // Retention bounds. A run keeps at most snapRing interval snapshots; older
 // ones are dropped (and counted) once the ring fills. Beyond retainRuns
-// terminal runs, the oldest are evicted (and counted).
+// terminal runs the oldest are evicted (and counted), and beyond
+// retainSweeps terminal sweeps the oldest are forgotten.
 const (
-	snapRing   = 4096
-	retainRuns = 256
+	snapRing     = 4096
+	retainRuns   = 256
+	retainSweeps = 32
 )
 
 func (c Config) withDefaults() Config {
@@ -243,10 +237,10 @@ type Counters struct {
 	MemoEvictions   int64
 }
 
-// Registry launches and tracks simulation jobs under supervision: a
-// bounded set of worker slots with a FIFO wait queue, per-run deadlines and
-// cancellation, panic isolation, bounded snapshot retention and eviction
-// of old terminal runs.
+// Registry launches and tracks simulation jobs and the sweeps that fan
+// out over them, under supervision: a bounded set of worker slots with a
+// FIFO wait queue, per-run deadlines and cancellation, panic isolation,
+// bounded snapshot retention and eviction of old terminal runs and sweeps.
 type Registry struct {
 	cfg Config
 	log *slog.Logger
@@ -265,9 +259,8 @@ type Registry struct {
 	fleet *ledger.Rollup
 
 	// memo is the spec-hash result cache (nil when Config.MemoEntries is
-	// 0); sweeps is the batch-sweep engine.
-	memo   *memoStore
-	sweeps *sweepSet
+	// 0).
+	memo *memoStore
 
 	mu       sync.Mutex
 	runs     map[int]*Run
@@ -276,9 +269,18 @@ type Registry struct {
 	running  int    // busy worker slots
 	busy     []bool // busy[i]: worker slot i executes a run; len MaxRunning
 	next     int
-	closed   bool
+	closed   bool // draining: no run or sweep is admitted
 	notReady bool // true until boot replay completes (SetReady)
 	pending  sync.WaitGroup
+
+	// room is closed and replaced whenever a worker slot frees, which is
+	// when a full queue takes another run; sweep children turned away by
+	// a full queue wait on it.
+	room chan struct{}
+
+	sweeps     map[int]*Sweep
+	sweepOrder []int
+	nextSweep  int
 
 	panics        int64
 	evicted       int64
@@ -302,18 +304,20 @@ func NewRegistryWith(cfg Config, log *slog.Logger) *Registry {
 	}
 	cfg = cfg.withDefaults()
 	g := &Registry{
-		cfg:      cfg,
-		log:      log,
-		simulate: cppcache.Run,
-		runs:     make(map[int]*Run),
-		busy:     make([]bool, cfg.MaxRunning),
-		next:     1,
-		fleet:    ledger.NewRollup(),
+		cfg:       cfg,
+		log:       log,
+		simulate:  cppcache.Run,
+		runs:      make(map[int]*Run),
+		busy:      make([]bool, cfg.MaxRunning),
+		next:      1,
+		room:      make(chan struct{}),
+		sweeps:    make(map[int]*Sweep),
+		nextSweep: 1,
+		fleet:     ledger.NewRollup(),
 	}
 	if cfg.MemoEntries > 0 {
 		g.memo = newMemoStore(cfg.MemoEntries)
 	}
-	g.sweeps = newSweepSet(g)
 	return g
 }
 
@@ -459,13 +463,11 @@ func (g *Registry) newRunLocked(spec RunSpec, specHash string, memoAttrs ...span
 	tracer := span.New(0)
 	tracer.SetOnEnd(g.stages.observe)
 	run := &Run{
-		ID:       g.next,
-		Spec:     spec,
-		specHash: specHash,
-		state:    StateQueued,
-		created:  t0,
-		changed:  make(chan struct{}),
-		tracer:   tracer,
+		ID:        g.next,
+		Spec:      spec,
+		specHash:  specHash,
+		lifecycle: lifecycle{state: StateQueued, created: t0},
+		tracer:    tracer,
 	}
 	attrs := append([]span.Attr{
 		span.Int("run_id", int64(run.ID)),
@@ -592,7 +594,6 @@ func (g *Registry) execute(run *Run, slot int, ctx context.Context, cancel conte
 		g.finish(run, StateRunning, func(r *Run) {
 			r.state = StateDone
 			r.result = &res
-			r.dropped = ob.TraceDropped()
 			if ob.AttrEnabled() {
 				r.attrText = ob.AttrText(10)
 				r.attrColl = ob.AttrCollapsed()
@@ -657,13 +658,15 @@ func (g *Registry) cancelQueued(run *Run, cause string) bool {
 	return g.finish(run, StateQueued, func(r *Run) { r.cancelLocked(cause) })
 }
 
-// onFinished releases the worker slot, dispatches queued work and applies
-// the retention policy.
+// onFinished releases the worker slot, dispatches queued work, wakes the
+// sweep children waiting for room and applies the retention policy.
 func (g *Registry) onFinished(slot int) {
 	g.mu.Lock()
 	g.busy[slot] = false
 	g.running--
 	g.scheduleLocked()
+	close(g.room)
+	g.room = make(chan struct{})
 	g.evictLocked()
 	g.mu.Unlock()
 }
@@ -681,35 +684,13 @@ func (g *Registry) scheduleLocked() {
 }
 
 // evictLocked enforces retainRuns: beyond it, the oldest terminal runs
-// are forgotten (404 afterwards). Running and queued runs are never
-// evicted. Callers hold g.mu.
+// are forgotten (404 afterwards) and counted. Callers hold g.mu.
 func (g *Registry) evictLocked() {
-	terminal := 0
-	for _, id := range g.order {
-		if g.runs[id] != nil && g.runs[id].State().Terminal() {
-			terminal++
-		}
-	}
-	if terminal <= retainRuns {
-		return
-	}
-	keep := g.order[:0]
-	for _, id := range g.order {
-		run := g.runs[id]
-		if run == nil {
-			continue
-		}
-		if terminal > retainRuns && run.State().Terminal() {
-			terminal--
-			g.evicted++
-			g.evictedDrops += run.SnapshotsDropped()
-			delete(g.runs, id)
-			g.log.Info("run evicted", "run_id", id, "trace_id", run.TraceID())
-			continue
-		}
-		keep = append(keep, id)
-	}
-	g.order = keep
+	g.order = retainLocked(g.order, g.runs, retainRuns, func(run *Run) {
+		g.evicted++
+		g.evictedDrops += run.SnapshotsDropped()
+		g.log.Info("run evicted", "run_id", run.ID, "trace_id", run.TraceID())
+	})
 }
 
 // Cancel requests cancellation of a run: a queued run is canceled on the
@@ -805,19 +786,22 @@ func (g *Registry) CountSlowStream() {
 	g.mu.Unlock()
 }
 
-// Drain stops accepting new runs, cancels everything still queued, and
-// waits for the running jobs. If they have not finished after 80% of the
-// timeout, they are force-canceled through their contexts (the simulator's
-// cooperative checks make that prompt) and granted the remaining 20%. It
-// reports whether everything drained in time.
+// Drain stops accepting new runs and sweeps, cancels every sweep and
+// everything still queued, and waits for the running jobs. If they have
+// not finished after 80% of the timeout, they are force-canceled through
+// their contexts (the simulator's cooperative checks make that prompt) and
+// granted the remaining 20%. It reports whether everything drained in
+// time.
 func (g *Registry) Drain(timeout time.Duration) bool {
-	// Cancel sweeps before admission closes, so a sweep child never meets
-	// a closed registry while its sweep still runs: the engines stop
-	// feeding new children and fan cancellation out to in-flight child
-	// runs.
-	g.sweeps.drain()
+	// Admission closes and every sweep is canceled in one critical
+	// section, so a sweep child that meets the closed registry belongs to
+	// a canceled sweep: its sweep stops feeding children, fans the cancel
+	// out to the child runs, and ends canceled, not done and degraded.
 	g.mu.Lock()
 	g.closed = true
+	for _, sw := range g.sweeps {
+		sw.cancel()
+	}
 	queued := g.queue
 	g.queue = nil
 	g.mu.Unlock()
@@ -938,17 +922,11 @@ func (r *Run) CancelCause() string {
 	return r.cancelCause
 }
 
-// notifyLocked wakes every waiter. Callers hold r.mu.
-func (r *Run) notifyLocked() {
-	close(r.changed)
-	r.changed = make(chan struct{})
-}
-
 // Status returns the run's JSON-ready view.
 func (r *Run) Status() RunStatus {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	st := RunStatus{
+	return RunStatus{
 		ID:               r.ID,
 		TraceID:          r.tracer.TraceID(),
 		Spec:             r.Spec,
@@ -962,23 +940,9 @@ func (r *Run) Status() RunStatus {
 		Memoized:         r.memoized,
 		MemoSourceRun:    r.memoRun,
 		MemoSourceTrace:  r.memoTrace,
+		Started:          optTime(r.started),
+		Finished:         optTime(r.finished),
 	}
-	if !r.started.IsZero() {
-		s := r.started
-		st.Started = &s
-	}
-	if !r.finished.IsZero() {
-		f := r.finished
-		st.Finished = &f
-	}
-	return st
-}
-
-// State returns the run's lifecycle phase.
-func (r *Run) State() RunState {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state
 }
 
 // Totals returns the column sums of the published snapshots.
@@ -1002,13 +966,6 @@ func (r *Run) Profile() (text, collapsed string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.attrText, r.attrColl
-}
-
-// wait returns the run's state and a channel closed on the next change.
-func (r *Run) wait() (state RunState, changed <-chan struct{}) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.state, r.changed
 }
 
 // SnapsFrom returns a copy of the retained snapshots at ordinal >= i and

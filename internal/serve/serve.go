@@ -33,10 +33,12 @@
 // explicit "gap" event rather than silently resuming.
 //
 // A run executes on its own goroutine in one of MaxRunning worker slots,
-// whose index its execute span carries; a sweep fans its children out
-// through sched.Do. The cppserved_stage_seconds family on /metrics holds
-// one obs.Histogram of span nanoseconds per stage: power-of-two buckets
-// sharing one le set per scrape, and an exact _sum.
+// whose index its execute span carries. A sweep shares a run's lifecycle
+// and fans its children out through sched.Do; a child that a full queue
+// turns away waits for a worker slot to free. The cppserved_stage_seconds
+// family on /metrics holds one obs.Histogram of span nanoseconds per
+// stage: power-of-two buckets sharing one le set per scrape, and an exact
+// _sum.
 //
 // Failure mapping: invalid specs are HTTP 400 with a structured body
 // naming the field, a full admission queue is 429 with Retry-After, and a
@@ -49,7 +51,6 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -163,19 +164,21 @@ func writeLaunchError(w http.ResponseWriter, err error) {
 	}
 }
 
-// runFromPath resolves the {id} path value to a run.
-func (s *Server) runFromPath(w http.ResponseWriter, r *http.Request) (*Run, bool) {
+// fromPath resolves the {id} path value through get: 400 when it is not
+// a number, 404 when get knows no such id. kind ("run", "sweep") names
+// the object in both errors.
+func fromPath[T any](w http.ResponseWriter, r *http.Request, kind string, get func(int) (T, bool)) (T, bool) {
 	id, err := strconv.Atoi(r.PathValue("id"))
 	if err != nil {
-		jsonError(w, http.StatusBadRequest, "bad run id %q", r.PathValue("id"))
-		return nil, false
+		jsonError(w, http.StatusBadRequest, "bad %s id %q", kind, r.PathValue("id"))
+		var none T
+		return none, false
 	}
-	run, ok := s.reg.Get(id)
+	v, ok := get(id)
 	if !ok {
-		jsonError(w, http.StatusNotFound, "no run %d", id)
-		return nil, false
+		jsonError(w, http.StatusNotFound, "no %s %d", kind, id)
 	}
-	return run, true
+	return v, ok
 }
 
 // retryAfter stamps the Retry-After header of a 429 or 503.
@@ -205,9 +208,9 @@ func (s *Server) handleLaunch(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleList is GET /runs. ?state= restricts to one lifecycle state
-// (unknown states are 400). The listing is deterministically ordered by
-// creation time, ties broken by run id, regardless of internal storage
-// order.
+// (unknown states are 400). The listing is in creation order, ties broken
+// by run id: the order Registry.Runs keeps, since a run's id and created
+// instant are both assigned under the registry lock.
 func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 	stateFilter := r.URL.Query().Get("state")
 	if err := checkState(stateFilter); err != nil {
@@ -223,18 +226,12 @@ func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
 		}
 		out = append(out, st)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if !out[i].Created.Equal(out[j].Created) {
-			return out[i].Created.Before(out[j].Created)
-		}
-		return out[i].ID < out[j].ID
-	})
 	writeJSON(w, http.StatusOK, out)
 }
 
 // handleRun is GET /runs/{id}.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.runFromPath(w, r)
+	run, ok := fromPath(w, r, "run", s.reg.Get)
 	if !ok {
 		return
 	}
@@ -246,7 +243,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 // simulator's cooperative cancellation check fires. Canceling a terminal
 // run is 409.
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.runFromPath(w, r)
+	run, ok := fromPath(w, r, "run", s.reg.Get)
 	if !ok {
 		return
 	}
@@ -260,7 +257,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 // handleProfile is GET /runs/{id}/profile. ?format=collapsed selects the
 // flame-graph collapsed-stack rendering.
 func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.runFromPath(w, r)
+	run, ok := fromPath(w, r, "run", s.reg.Get)
 	if !ok {
 		return
 	}
@@ -287,7 +284,7 @@ func (s *Server) handleProfile(w http.ResponseWriter, r *http.Request) {
 // indented JSON. ?format=chrome renders Chrome trace_event JSON (load it
 // in chrome://tracing or Perfetto).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.runFromPath(w, r)
+	run, ok := fromPath(w, r, "run", s.reg.Get)
 	if !ok {
 		return
 	}
@@ -370,7 +367,7 @@ func (sse *sseStream) gap(next, from int) bool {
 // and counted (cppserved_slow_streams_disconnected_total) instead of
 // pinning the handler goroutine.
 func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
-	run, ok := s.runFromPath(w, r)
+	run, ok := fromPath(w, r, "run", s.reg.Get)
 	if !ok {
 		return
 	}
@@ -390,7 +387,7 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 	}
 
 	next := 0
-	emitFrom := func(next int) (int, bool) {
+	if !follow(r.Context(), &run.lifecycle, func() bool {
 		snaps, from := run.SnapsFrom(next)
 		if from > next {
 			stream.Event("gap",
@@ -398,43 +395,21 @@ func (s *Server) handleStream(w http.ResponseWriter, r *http.Request) {
 				span.Int("resumed", int64(from)),
 				span.Int("dropped", int64(from-next)))
 			if !sse.gap(next, from) {
-				return next, false
+				return false
 			}
 			next = from
 		}
 		for _, snap := range snaps {
 			data, err := json.Marshal(snap)
-			if err != nil {
-				return next, false
-			}
-			if !sse.push("id: %d\nevent: snapshot\ndata: %s\n\n", next, data) {
-				return next, false
+			if err != nil || !sse.push("id: %d\nevent: snapshot\ndata: %s\n\n", next, data) {
+				return false
 			}
 			next++
 		}
-		return next, true
+		return true
+	}) {
+		return
 	}
-
-	for {
-		var live bool
-		if next, live = emitFrom(next); !live {
-			return
-		}
-		state, changed := run.wait()
-		if state.Terminal() {
-			// Drain any snapshots that landed between the emit and the
-			// terminal-state observation before closing.
-			if next, live = emitFrom(next); !live {
-				return
-			}
-			final, _ := json.Marshal(run.Status())
-			sse.push("event: end\ndata: %s\n\n", final)
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
-	}
+	final, _ := json.Marshal(run.Status())
+	sse.push("event: end\ndata: %s\n\n", final)
 }

@@ -5,10 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"cppcache"
@@ -35,16 +33,10 @@ type SweepSpec struct {
 // products are a structured 400, never a half-admitted batch.
 const MaxSweepProduct = 512
 
-// DefaultSweepRetain bounds retained terminal sweeps.
-const DefaultSweepRetain = 32
-
-// Sweep lifecycle states. A sweep is running from admission until every
-// child is terminal; it ends done (possibly degraded) or canceled.
-const (
-	SweepRunning  = "running"
-	SweepDone     = "done"
-	SweepCanceled = "canceled"
-)
+// SweepDone is the state of a finished sweep, StateDone's string. It is
+// untyped, so it compares with a RunState and with a state decoded as a
+// plain string alike.
+const SweepDone = "done"
 
 // sweepChild is one deduplicated cell of the cross-product.
 type sweepChild struct {
@@ -71,30 +63,27 @@ type skippedCombo struct {
 	Reason     string `json:"reason"`
 }
 
-// Sweep is one admitted batch. All mutable state is guarded by mu;
-// changed is closed and replaced on every mutation (SSE progress waits
-// on it, exactly like Run.changed).
+// Sweep is one admitted batch. It has a run's lifecycle: running from
+// admission until every child is terminal, then done (possibly degraded)
+// or canceled. All mutable state is guarded by the lifecycle's mu, and
+// every change wakes its followers (SSE progress).
 type Sweep struct {
 	ID   int       `json:"id"`
 	Spec SweepSpec `json:"spec"`
 
-	mu       sync.Mutex
-	state    string
-	created  time.Time
-	finished time.Time
+	lifecycle
 	children []*sweepChild
 	skipped  []skippedCombo
 	deduped  int // cross-product cells collapsed into an earlier child
 	degraded bool
 	cancel   context.CancelFunc
-	changed  chan struct{}
 }
 
 // SweepStatus is the JSON shape served for one sweep.
 type SweepStatus struct {
 	ID       int            `json:"id"`
 	Spec     SweepSpec      `json:"spec"`
-	State    string         `json:"state"`
+	State    RunState       `json:"state"`
 	Created  time.Time      `json:"created"`
 	Finished *time.Time     `json:"finished,omitempty"`
 	Degraded bool           `json:"degraded,omitempty"`
@@ -120,10 +109,7 @@ func (sw *Sweep) Status() SweepStatus {
 		Counts:   map[string]int{},
 		Deduped:  sw.deduped,
 		Skipped:  append([]skippedCombo(nil), sw.skipped...),
-	}
-	if !sw.finished.IsZero() {
-		f := sw.finished
-		st.Finished = &f
+		Finished: optTime(sw.finished),
 	}
 	for _, ch := range sw.children {
 		st.Counts[string(ch.State)]++
@@ -136,39 +122,17 @@ func (sw *Sweep) Status() SweepStatus {
 }
 
 // progress is the compact rollup pushed on the sweep SSE stream.
-func (sw *Sweep) progress() (terminal int, data []byte) {
+func (sw *Sweep) progress() []byte {
 	st := sw.Status()
-	terminal = st.Counts[string(StateDone)] + st.Counts[string(StateFailed)] +
-		st.Counts[string(StateCanceled)]
-	p := map[string]any{
+	data, _ := json.Marshal(map[string]any{
 		"sweep_id": st.ID,
 		"state":    st.State,
 		"total":    st.Total,
 		"counts":   st.Counts,
 		"memoized": st.Memoized,
 		"degraded": st.Degraded,
-	}
-	data, _ = json.Marshal(p)
-	return terminal, data
-}
-
-// wait returns the sweep's state and a channel closed on the next change.
-func (sw *Sweep) wait() (state string, changed <-chan struct{}) {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state, sw.changed
-}
-
-// terminal reports whether the sweep has finished.
-func (sw *Sweep) terminal() bool {
-	sw.mu.Lock()
-	defer sw.mu.Unlock()
-	return sw.state != SweepRunning
-}
-
-func (sw *Sweep) notifyLocked() {
-	close(sw.changed)
-	sw.changed = make(chan struct{})
+	})
+	return data
 }
 
 // Table renders the sweep's deterministic aggregate table: one TSV row
@@ -210,88 +174,6 @@ func (sw *Sweep) Table() string {
 			ch.State, ch.Digest, cycles, insts, l1m, l2m, traffic)
 	}
 	return b.String()
-}
-
-// sweepSet owns every sweep: registration, retention, lookup, drain.
-type sweepSet struct {
-	g *Registry
-
-	mu     sync.Mutex
-	sweeps map[int]*Sweep
-	order  []int
-	next   int
-	closed bool
-}
-
-func newSweepSet(g *Registry) *sweepSet {
-	return &sweepSet{g: g, sweeps: make(map[int]*Sweep), next: 1}
-}
-
-// get returns the sweep with the given id.
-func (ss *sweepSet) get(id int) (*Sweep, bool) {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	sw, ok := ss.sweeps[id]
-	return sw, ok
-}
-
-// register admits a sweep and applies retention (oldest terminal sweeps
-// beyond the bound are forgotten).
-func (ss *sweepSet) register(sw *Sweep) error {
-	ss.mu.Lock()
-	defer ss.mu.Unlock()
-	if ss.closed {
-		return ErrDraining
-	}
-	sw.ID = ss.next
-	ss.next++
-	ss.sweeps[sw.ID] = sw
-	ss.order = append(ss.order, sw.ID)
-	terminal := 0
-	for _, id := range ss.order {
-		if ss.sweeps[id].terminal() {
-			terminal++
-		}
-	}
-	if terminal > DefaultSweepRetain {
-		keep := ss.order[:0]
-		for _, id := range ss.order {
-			if terminal > DefaultSweepRetain && ss.sweeps[id].terminal() {
-				terminal--
-				delete(ss.sweeps, id)
-				continue
-			}
-			keep = append(keep, id)
-		}
-		ss.order = keep
-	}
-	return nil
-}
-
-// drain stops admitting sweeps and cancels every running one.
-func (ss *sweepSet) drain() {
-	ss.mu.Lock()
-	ss.closed = true
-	sweeps := make([]*Sweep, 0, len(ss.order))
-	for _, id := range ss.order {
-		sweeps = append(sweeps, ss.sweeps[id])
-	}
-	ss.mu.Unlock()
-	for _, sw := range sweeps {
-		sw.requestCancel()
-	}
-}
-
-// requestCancel cancels the sweep's context (idempotent); children react
-// through their own cancellation paths.
-func (sw *Sweep) requestCancel() {
-	sw.mu.Lock()
-	cancel := sw.cancel
-	canceling := sw.state == SweepRunning
-	sw.mu.Unlock()
-	if canceling && cancel != nil {
-		cancel()
-	}
 }
 
 // expandSweep turns the cross-product into deduplicated, normalized child
@@ -370,9 +252,10 @@ func (g *Registry) expandSweep(spec SweepSpec) (children []*sweepChild, skipped 
 
 // LaunchSweep expands, validates and admits a sweep, then executes it on
 // a background engine goroutine. Children run through the registry's own
-// admission control, at most MaxRunning at once, retrying a full queue
-// (see sweepRetryDelay). A child failure degrades the sweep; it never
-// aborts it.
+// admission control, at most MaxRunning at once; a child turned away by a
+// full queue waits for a worker slot. A child failure degrades the sweep;
+// it never aborts it. Admitting a sweep forgets the oldest terminal ones
+// beyond retainSweeps.
 func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 	children, skipped, deduped, err := g.expandSweep(spec)
 	if err != nil {
@@ -380,24 +263,25 @@ func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	sw := &Sweep{
-		Spec:     spec,
-		state:    SweepRunning,
-		created:  time.Now(),
-		children: children,
-		skipped:  skipped,
-		deduped:  deduped,
-		cancel:   cancel,
-		changed:  make(chan struct{}),
+		Spec:      spec,
+		lifecycle: lifecycle{state: StateRunning, created: time.Now()},
+		children:  children,
+		skipped:   skipped,
+		deduped:   deduped,
+		cancel:    cancel,
 	}
-	// The sweep set closes before the registry does (Drain), so it
-	// refuses every sweep a draining registry would.
-	if err := g.sweeps.register(sw); err != nil {
-		cancel()
-		g.mu.Lock()
+	g.mu.Lock()
+	if g.closed {
 		g.rejectedDrain++
 		g.mu.Unlock()
-		return nil, err
+		cancel()
+		return nil, ErrDraining
 	}
+	sw.ID = g.nextSweep
+	g.nextSweep++
+	g.sweeps[sw.ID] = sw
+	g.sweepOrder = retainLocked(append(g.sweepOrder, sw.ID), g.sweeps, retainSweeps, nil)
+	g.mu.Unlock()
 	g.log.Info("sweep launched", "sweep_id", sw.ID, "children", len(children),
 		"skipped", len(skipped), "deduped", deduped)
 	go g.runSweep(sw, ctx)
@@ -409,7 +293,7 @@ func (g *Registry) LaunchSweep(spec SweepSpec) (*Sweep, error) {
 // canceled, canceled when cancellation was requested before completion.
 func (g *Registry) runSweep(sw *Sweep, ctx context.Context) {
 	sched.Do(len(sw.children), g.cfg.MaxRunning, nil, nil, func(i int) error {
-		g.runSweepChild(ctx, sw, sw.children[i], i)
+		g.runSweepChild(ctx, sw, sw.children[i])
 		return nil
 	})
 
@@ -425,9 +309,9 @@ func (g *Registry) runSweep(sw *Sweep, ctx context.Context) {
 		}
 	}
 	if canceled && allCanceled {
-		sw.state = SweepCanceled
+		sw.state = StateCanceled
 	} else {
-		sw.state = SweepDone
+		sw.state = StateDone
 	}
 	sw.finished = time.Now()
 	state, degraded := sw.state, sw.degraded
@@ -445,34 +329,13 @@ func (sw *Sweep) updateChild(ch *sweepChild, fn func(*sweepChild)) {
 	sw.mu.Unlock()
 }
 
-// Queue-full retry schedule of a sweep child: the first retry waits up
-// to sweepRetryBase, each later one up to twice as long, capped at
-// sweepRetryCap.
-const (
-	sweepRetryBase = 100 * time.Millisecond
-	sweepRetryCap  = 5 * time.Second
-)
-
-// sweepRetryDelay returns the wait before the given 1-based retry. The
-// upper half of each delay is drawn from rng, so a sweep's children do not
-// retry in lockstep, and a fixed seed replays the same waits.
-func sweepRetryDelay(retry int, rng *rand.Rand) time.Duration {
-	d := sweepRetryBase
-	for i := 1; i < retry && d < sweepRetryCap; i++ {
-		d *= 2
-	}
-	d = min(d, sweepRetryCap)
-	spread := float64(d) / 2
-	return d - time.Duration(rng.Float64()*spread)
-}
-
-// runSweepChild executes one child through the registry: launch (retrying
-// a full queue), then follow the run to its terminal state. Cancellation
-// fans out to the child run.
-func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild, idx int) {
-	rng := rand.New(rand.NewSource(int64(sw.ID)<<16 | int64(idx)))
+// runSweepChild executes one child through the registry: launch, then
+// follow the run to its terminal state. A child that a full queue turns
+// away waits for a worker slot to free, then asks again. Cancellation of
+// the sweep ends that wait, or fans out to the child's run.
+func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild) {
 	var run *Run
-	for retry := 1; ; retry++ {
+	for {
 		if ctx.Err() != nil {
 			sw.updateChild(ch, func(c *sweepChild) {
 				c.State = StateCanceled
@@ -480,6 +343,11 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 			})
 			return
 		}
+		// Taken before the launch, so a slot that frees between a refusal
+		// and the wait still wakes the child.
+		g.mu.Lock()
+		room := g.room
+		g.mu.Unlock()
 		var err error
 		run, err = g.Launch(ch.Spec, false)
 		if err == nil {
@@ -487,11 +355,10 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 		}
 		if errors.Is(err, ErrQueueFull) {
 			select {
-			case <-time.After(sweepRetryDelay(retry, rng)):
-				continue
-			case <-ctx.Done():
-				continue // loop observes ctx.Err and finishes as canceled
+			case <-room:
+			case <-ctx.Done(): // the loop finishes the child as canceled
 			}
+			continue
 		}
 		// A draining registry cancels the child, as Drain cancels the
 		// queued runs. An internal error fails it: the sweep degrades and
@@ -512,23 +379,12 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 		c.TraceID = run.TraceID()
 	})
 
-	for {
-		state, changed := run.wait()
-		if state.Terminal() {
-			break
-		}
-		select {
-		case <-changed:
-		case <-ctx.Done():
-			// Fan-out cancellation: best-effort cancel, then keep waiting —
-			// the run WILL reach a terminal state (cancellation is
-			// cooperative but prompt).
-			g.Cancel(run.ID, fmt.Sprintf("sweep %d canceled", sw.ID))
-			select {
-			case <-changed:
-			case <-time.After(50 * time.Millisecond):
-			}
-		}
+	nop := func() bool { return true }
+	if !follow(ctx, &run.lifecycle, nop) {
+		// The sweep was canceled: cancel the run and wait for it to end,
+		// which cooperative cancellation makes prompt.
+		g.Cancel(run.ID, fmt.Sprintf("sweep %d canceled", sw.ID))
+		follow(context.Background(), &run.lifecycle, nop)
 	}
 
 	st := run.Status()
@@ -546,4 +402,9 @@ func (g *Registry) runSweepChild(ctx context.Context, sw *Sweep, ch *sweepChild,
 }
 
 // GetSweep returns the sweep with the given id.
-func (g *Registry) GetSweep(id int) (*Sweep, bool) { return g.sweeps.get(id) }
+func (g *Registry) GetSweep(id int) (*Sweep, bool) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	sw, ok := g.sweeps[id]
+	return sw, ok
+}

@@ -4,23 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"strconv"
 )
-
-// sweepFromPath resolves the {id} path value to a sweep.
-func (s *Server) sweepFromPath(w http.ResponseWriter, r *http.Request) (*Sweep, bool) {
-	id, err := strconv.Atoi(r.PathValue("id"))
-	if err != nil {
-		jsonError(w, http.StatusBadRequest, "bad sweep id %q", r.PathValue("id"))
-		return nil, false
-	}
-	sw, ok := s.reg.GetSweep(id)
-	if !ok {
-		jsonError(w, http.StatusNotFound, "no sweep %d", id)
-		return nil, false
-	}
-	return sw, true
-}
 
 // handleSweepLaunch is POST /sweeps: expand the cross-product, admit the
 // deduplicated children, answer 202 with the initial status. Bound
@@ -46,7 +30,7 @@ func (s *Server) handleSweepLaunch(w http.ResponseWriter, r *http.Request) {
 // handleSweep is GET /sweeps/{id}: the aggregate status with per-child
 // states, digests and skip reasons.
 func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFromPath(w, r)
+	sw, ok := fromPath(w, r, "sweep", s.reg.GetSweep)
 	if !ok {
 		return
 	}
@@ -57,11 +41,11 @@ func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
 // result table. A sweep still running is 409 — the table is only
 // meaningful (and only byte-stable) once every child is terminal.
 func (s *Server) handleSweepTable(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFromPath(w, r)
+	sw, ok := fromPath(w, r, "sweep", s.reg.GetSweep)
 	if !ok {
 		return
 	}
-	if !sw.terminal() {
+	if !sw.State().Terminal() {
 		jsonError(w, http.StatusConflict, "sweep %d still running; the table is available at completion", sw.ID)
 		return
 	}
@@ -74,7 +58,7 @@ func (s *Server) handleSweepTable(w http.ResponseWriter, r *http.Request) {
 // degraded flag); the stream closes with an "end" event carrying the full
 // terminal status. Event ids count emitted progress events.
 func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
-	sw, ok := s.sweepFromPath(w, r)
+	sw, ok := fromPath(w, r, "sweep", s.reg.GetSweep)
 	if !ok {
 		return
 	}
@@ -84,22 +68,13 @@ func (s *Server) handleSweepStream(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-
-	for id := 0; ; id++ {
-		state, changed := sw.wait()
-		_, data := sw.progress()
-		if !sse.push("id: %d\nevent: progress\ndata: %s\n\n", id, data) {
-			return
-		}
-		if state != SweepRunning {
-			final, _ := json.Marshal(sw.Status())
-			sse.push("event: end\ndata: %s\n\n", final)
-			return
-		}
-		select {
-		case <-changed:
-		case <-r.Context().Done():
-			return
-		}
+	id := -1
+	if !follow(r.Context(), &sw.lifecycle, func() bool {
+		id++
+		return sse.push("id: %d\nevent: progress\ndata: %s\n\n", id, sw.progress())
+	}) {
+		return
 	}
+	final, _ := json.Marshal(sw.Status())
+	sse.push("event: end\ndata: %s\n\n", final)
 }

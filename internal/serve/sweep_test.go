@@ -6,8 +6,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
-	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -55,7 +53,7 @@ func waitSweep(t *testing.T, ts *httptest.Server, id int) SweepStatus {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		st := getSweep(t, ts, id)
-		if st.State != SweepRunning {
+		if st.State != StateRunning {
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -241,7 +239,7 @@ func TestSweepCancelFansOut(t *testing.T) {
 	go func() { drained <- reg.Drain(30 * time.Second) }()
 
 	final := waitSweep(t, ts, st.ID)
-	if final.State != SweepCanceled {
+	if final.State != StateCanceled {
 		t.Fatalf("final state %s, want canceled (%+v)", final.State, final.Counts)
 	}
 	if final.Counts[string(StateCanceled)] != 3 {
@@ -276,31 +274,53 @@ func TestSweepChildRefusedByDrainIsCanceled(t *testing.T) {
 		t.Fatal(err)
 	}
 	ch := &sweepChild{Spec: spec, State: StateQueued}
-	sw := &Sweep{state: SweepRunning, children: []*sweepChild{ch}, changed: make(chan struct{})}
-	reg.runSweepChild(context.Background(), sw, ch, 0)
+	sw := &Sweep{lifecycle: lifecycle{state: StateRunning}, children: []*sweepChild{ch}}
+	reg.runSweepChild(context.Background(), sw, ch)
 	if ch.State != StateCanceled || ch.Error != "server draining" {
 		t.Fatalf("child %s (%q), want canceled (server draining)", ch.State, ch.Error)
 	}
 }
 
-// TestDrainCancelsSweepsBeforeClosing: Drain cancels a running sweep while
-// admission is still open, so none of its children is refused.
+// TestDrainCancelsSweepsBeforeClosing: Drain cancels every sweep no later
+// than it closes admission, so a drained sweep whose children are queued,
+// waiting for room or not yet started ends canceled with every child
+// canceled, never done and degraded.
 func TestDrainCancelsSweepsBeforeClosing(t *testing.T) {
-	reg := NewRegistry(nil)
-	var readiness []bool
-	sw := &Sweep{state: SweepRunning, changed: make(chan struct{})}
-	sw.cancel = func() {
-		ready, _ := reg.Readiness()
-		readiness = append(readiness, ready)
+	ts, reg := newFaultServer(t, Config{MaxRunning: 2, MaxQueue: 1}, stall)
+	// Stall both slots: the sweep's two engines then find room for one
+	// child in the queue and turn the next away.
+	blockers := []RunStatus{launch(t, ts, stallSpec("")), launch(t, ts, stallSpec(""))}
+	st := launchSweep(t, ts, `{"workloads":["mst"],"configs":["CPP"],"scales":[2,3,4],"functional":true}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		queued := 0
+		for _, ch := range getSweep(t, ts, st.ID).Children {
+			if ch.RunID != 0 {
+				queued++
+			}
+		}
+		if queued == 1 && reg.Counters().RejectedQueueFull >= 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no child queued and one waiting within 10s: %d queued, %d refused",
+				queued, reg.Counters().RejectedQueueFull)
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if err := reg.sweeps.register(sw); err != nil {
-		t.Fatal(err)
+
+	drained := make(chan bool, 1)
+	go func() { drained <- reg.Drain(30 * time.Second) }()
+	final := waitSweep(t, ts, st.ID)
+	if final.State != StateCanceled || final.Counts[string(StateCanceled)] != final.Total {
+		t.Fatalf("drained sweep ended %s with counts %v, want canceled with all %d children canceled",
+			final.State, final.Counts, final.Total)
 	}
-	if !reg.Drain(time.Second) {
-		t.Fatal("registry did not drain")
+	for _, b := range blockers {
+		reg.Cancel(b.ID, "unblock")
 	}
-	if len(readiness) != 1 || !readiness[0] {
-		t.Fatalf("readiness seen by the sweep's cancel: %v, want [true]", readiness)
+	if !<-drained {
+		t.Error("drain timed out")
 	}
 }
 
@@ -499,10 +519,11 @@ func TestSweepRowsMatchStandaloneRuns(t *testing.T) {
 	}
 }
 
-// TestSweepRetriesFullQueue: with the only slot stalled and the wait
-// queue full, a sweep's children are turned away with ErrQueueFull; they
-// retry, and once the slot frees the sweep ends done, not degraded.
-func TestSweepRetriesFullQueue(t *testing.T) {
+// TestSweepWaitsOnFullQueue: with the only slot stalled and the wait
+// queue full, a sweep's child is turned away with ErrQueueFull and waits
+// for a worker slot without asking again; once the slot frees the sweep
+// ends done, not degraded.
+func TestSweepWaitsOnFullQueue(t *testing.T) {
 	ts, reg := newFaultServer(t, Config{MaxRunning: 1, MaxQueue: 1}, stall)
 	blocker := launch(t, ts, stallSpec(""))
 	launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`) // fills the queue
@@ -515,6 +536,12 @@ func TestSweepRetriesFullQueue(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
+	// No slot frees while the blocker stalls, so a waiting child is not
+	// refused again.
+	time.Sleep(300 * time.Millisecond)
+	if n := reg.Counters().RejectedQueueFull; n != 1 {
+		t.Fatalf("%d queue-full refusals while no slot freed, want 1", n)
+	}
 	if err := reg.Cancel(blocker.ID, "unblock"); err != nil {
 		t.Fatal(err)
 	}
@@ -526,68 +553,59 @@ func TestSweepRetriesFullQueue(t *testing.T) {
 	}
 }
 
-// noJitter is a rand.Source of zero draws: sweepRetryDelay then returns
-// each retry's un-jittered ceiling.
-type noJitter struct{}
-
-func (noJitter) Int63() int64 { return 0 }
-func (noJitter) Seed(int64)   {}
-
-// sweepRetryCeilings is the un-jittered schedule, retry 1 first.
-var sweepRetryCeilings = []time.Duration{100 * time.Millisecond, 200 * time.Millisecond,
-	400 * time.Millisecond, 800 * time.Millisecond, 1600 * time.Millisecond,
-	3200 * time.Millisecond, 5 * time.Second, 5 * time.Second}
-
-// TestSweepRetryDelayDoublesThenCaps: the first queue-full retry waits
-// 100 ms, each later one twice as long, clamped at the 5 s cap.
-func TestSweepRetryDelayDoublesThenCaps(t *testing.T) {
-	for i, want := range sweepRetryCeilings {
-		if got := sweepRetryDelay(i+1, rand.New(noJitter{})); got != want {
-			t.Errorf("retry %d: delay %v, want %v", i+1, got, want)
+// TestSweepChildWaitingForRoomIsDrained: a child waiting on the full
+// queue wakes when Drain cancels its sweep and ends canceled at once, not
+// when some timer fires.
+func TestSweepChildWaitingForRoomIsDrained(t *testing.T) {
+	ts, reg := newFaultServer(t, Config{MaxRunning: 1, MaxQueue: 1}, stall)
+	blocker := launch(t, ts, stallSpec(""))
+	launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`) // fills the queue
+	st := launchSweep(t, ts, `{"workloads":["treeadd"],"configs":["CPP"],"scales":[1],"functional":true}`)
+	deadline := time.Now().Add(10 * time.Second)
+	for reg.Counters().RejectedQueueFull == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("the sweep child was not turned away by the full queue within 10s")
 		}
+		time.Sleep(time.Millisecond)
+	}
+
+	drained := make(chan bool, 1)
+	start := time.Now()
+	go func() { drained <- reg.Drain(30 * time.Second) }()
+	final := waitSweep(t, ts, st.ID)
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("the waiting child took %v to end after the drain, want under 1s", took)
+	}
+	if final.State != StateCanceled || final.Children[0].State != StateCanceled {
+		t.Fatalf("drained sweep ended %s with child %s, want both canceled", final.State, final.Children[0].State)
+	}
+	reg.Cancel(blocker.ID, "unblock")
+	if !<-drained {
+		t.Error("drain timed out")
 	}
 }
 
-// TestSweepRetryDelayCapBoundsHugeRetries: the cap holds however often a
-// child has been turned away.
-func TestSweepRetryDelayCapBoundsHugeRetries(t *testing.T) {
-	if got := sweepRetryDelay(math.MaxInt, rand.New(noJitter{})); got != sweepRetryCap {
-		t.Errorf("retry MaxInt: delay %v, want cap %v", got, sweepRetryCap)
-	}
-}
-
-// TestSweepRetryDelayJitterBounds: jitter only ever shortens a delay, by
-// at most half of it, and it does shorten some.
-func TestSweepRetryDelayJitterBounds(t *testing.T) {
-	jittered := false
-	for seed := int64(0); seed < 200; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		for i, ceil := range sweepRetryCeilings {
-			d := sweepRetryDelay(i+1, rng)
-			if d > ceil || d < ceil/2 {
-				t.Fatalf("seed %d retry %d: delay %v outside [%v, %v]", seed, i+1, d, ceil/2, ceil)
-			}
-			jittered = jittered || d != ceil
+// TestSweepRetention: beyond retainSweeps terminal sweeps, admitting a
+// sweep forgets the oldest (404 afterwards); the newer ones stay. Every
+// sweep repeats a memoized spec, so each ends as soon as it starts.
+func TestSweepRetention(t *testing.T) {
+	ts, _ := newTestServerWith(t, Config{MemoEntries: 1})
+	waitDone(t, ts, launch(t, ts, `{"workload":"mst","config":"CPP","functional":true,"scale":1}`).ID)
+	var ids []int
+	for i := 0; i < retainSweeps+3; i++ {
+		st := waitSweep(t, ts, launchSweep(t, ts, `{"workloads":["mst"],"configs":["CPP"],"scales":[1],"functional":true}`).ID)
+		if st.State != StateDone || st.Memoized != 1 {
+			t.Fatalf("sweep %d ended %s with %d memoized children, want done and 1", st.ID, st.State, st.Memoized)
 		}
+		ids = append(ids, st.ID)
 	}
-	if !jittered {
-		t.Error("no delay was jittered")
-	}
-}
-
-// TestSweepRetryDelaySameSeedSameSchedule: a fixed seed replays the same
-// waits; another seed gives other waits.
-func TestSweepRetryDelaySameSeedSameSchedule(t *testing.T) {
-	a, b, c := rand.New(rand.NewSource(7)), rand.New(rand.NewSource(7)), rand.New(rand.NewSource(8))
-	diverged := false
-	for retry := 1; retry <= 20; retry++ {
-		da := sweepRetryDelay(retry, a)
-		if db := sweepRetryDelay(retry, b); db != da {
-			t.Fatalf("retry %d: same seed gave %v and %v", retry, da, db)
+	// Admitting sweep k finds the k-1 before it terminal, so the last two
+	// admissions each forgot the oldest.
+	for i, id := range ids {
+		want := http.StatusOK
+		if i < 2 {
+			want = http.StatusNotFound
 		}
-		diverged = diverged || sweepRetryDelay(retry, c) != da
-	}
-	if !diverged {
-		t.Error("different seeds gave the same 20 waits")
+		fetchText(t, ts, fmt.Sprintf("/sweeps/%d", id), want)
 	}
 }
